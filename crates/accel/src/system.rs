@@ -273,11 +273,23 @@ impl RunLedger {
     }
 
     /// Mean occupancy over recorded rounds; [`f64::NAN`] when empty.
+    /// Never below the smallest round's occupancy nor above
+    /// [`RunLedger::peak_occupancy`]: the quotient is clamped to the
+    /// rounds' range, since the f64 sum of repeated fractional values can
+    /// round one ulp past it.
     pub fn mean_occupancy(&self) -> f64 {
-        if self.rounds.is_empty() {
+        let (mut sum, mut lo, mut hi) = (0.0, f64::INFINITY, f64::NEG_INFINITY);
+        for r in &self.rounds {
+            sum += r.occupancy;
+            lo = lo.min(r.occupancy);
+            hi = hi.max(r.occupancy);
+        }
+        if lo > hi {
+            // Empty, or every occupancy NaN (min/max skip NaN): `clamp`
+            // would panic.
             return f64::NAN;
         }
-        self.rounds.iter().map(|r| r.occupancy).sum::<f64>() / self.rounds.len() as f64
+        (sum / self.rounds.len() as f64).clamp(lo, hi)
     }
 
     /// Peak occupancy over recorded rounds; `0.0` when empty.
@@ -794,5 +806,25 @@ mod tests {
             ledger.peak_occupancy(),
             ledger.rounds.iter().map(|r| r.occupancy).fold(0.0, f64::max)
         );
+    }
+
+    #[test]
+    fn run_ledger_mean_occupancy_never_exceeds_peak() {
+        // From 7 copies on, the f64 running sum of this occupancy rounds up
+        // and a plain `sum / len` lands one ulp above it.
+        let round = RoundStats {
+            batch: 1,
+            cycles: 100,
+            energy_pj: 1.0,
+            occupancy: 0.4987012987012987,
+            freq_scale: 1.0,
+        };
+        for n in [7usize, 16] {
+            let ledger = RunLedger {
+                rounds: vec![round; n],
+            };
+            assert_eq!(ledger.mean_occupancy(), ledger.peak_occupancy(), "n = {n}");
+            assert_eq!(ledger.mean_occupancy(), round.occupancy, "n = {n}");
+        }
     }
 }

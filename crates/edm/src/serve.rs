@@ -1572,7 +1572,8 @@ impl ServeStats {
     }
 
     /// Mean simulated PE occupancy over executed rounds (`NaN` if none
-    /// ran).
+    /// ran). Never below the smallest round's occupancy nor above
+    /// [`ServeStats::peak_occupancy`], even where the f64 sum rounds.
     pub fn mean_occupancy(&self) -> f64 {
         mean(self.round_occupancy.iter().copied())
     }
@@ -1626,17 +1627,33 @@ pub struct TenantRollup {
 }
 
 /// Mean of an iterator, `NaN` when empty (mirrors the empty-run sentinel
-/// convention of `sqdm_accel`'s `RunStats` ratios).
+/// convention of `sqdm_accel`'s `RunStats` ratios). The result always lies
+/// in `min..=max` of the values averaged.
+///
+/// The bound needs the clamp only for fractional inputs: the running f64
+/// sum of repeated non-integers can round upward (seven copies of
+/// `0.4987012987012987` average one ulp above the value itself), which
+/// would put [`ServeStats::mean_occupancy`] above
+/// [`ServeStats::peak_occupancy`]. The integer-valued aggregates —
+/// [`ServeStats::mean_latency`], [`ServeStats::mean_queue_delay`],
+/// [`ServeStats::mean_batch_occupancy`], [`ServeStats::mean_queue_depth`],
+/// [`ServeStats::mean_step_latency_ns`] and the [`TenantRollup`] means —
+/// sum exactly below 2^53, so one correctly rounded division already lands
+/// in range and the clamp never changes them.
 fn mean(values: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0usize);
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for v in values {
         sum += v;
         n += 1;
+        lo = lo.min(v);
+        hi = hi.max(v);
     }
-    if n == 0 {
+    if lo > hi {
+        // Empty, or every value NaN (min/max skip NaN): `clamp` would panic.
         f64::NAN
     } else {
-        sum / n as f64
+        (sum / n as f64).clamp(lo, hi)
     }
 }
 
@@ -2869,5 +2886,29 @@ mod tests {
             .all(|&o| o > 0.0 && o <= 1.0));
         assert!(stats.energy_per_image_pj() > 0.0);
         assert!(stats.peak_occupancy() >= stats.mean_occupancy());
+    }
+
+    #[test]
+    fn mean_occupancy_never_exceeds_peak() {
+        // From 7 copies on, the f64 running sum of this value rounds up
+        // and a plain `sum / n` lands one ulp above it.
+        let occ = 0.4987012987012987;
+        for n in [7usize, 16] {
+            let stats = ServeStats {
+                round_occupancy: vec![occ; n],
+                ..ServeStats::default()
+            };
+            assert_eq!(stats.mean_occupancy(), stats.peak_occupancy(), "n = {n}");
+            assert_eq!(stats.mean_occupancy(), occ, "n = {n}");
+        }
+
+        let mixed = [0.1, 0.4987012987012987, 0.7, 0.3, 0.4987012987012987];
+        let stats = ServeStats {
+            round_occupancy: mixed.iter().copied().cycle().take(23).collect(),
+            ..ServeStats::default()
+        };
+        let lo = stats.round_occupancy.iter().copied().fold(1.0, f64::min);
+        let m = stats.mean_occupancy();
+        assert!(lo <= m && m <= stats.peak_occupancy(), "mean {m}");
     }
 }

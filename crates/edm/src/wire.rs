@@ -182,7 +182,9 @@ pub struct ModelStatsWire {
     /// cost model; absent until the first request completes, or always
     /// absent under the no-op cost model's zero accounting.
     pub energy_per_image_pj: Option<f64>,
-    /// Mean simulated PE-array occupancy over executed rounds, `0.0..=1.0`.
+    /// Mean simulated PE-array occupancy over executed rounds, `0.0..=1.0`;
+    /// never below the smallest round's occupancy nor above
+    /// `peak_occupancy`.
     pub mean_occupancy: Option<f64>,
     /// Peak simulated PE-array occupancy over executed rounds.
     pub peak_occupancy: Option<f64>,
