@@ -35,15 +35,15 @@
 //! the `sqdmd` binary does so as soon as [`DaemonHandle::wait_drained`]
 //! returns.
 
+use crate::cost::CostModelConfig;
 use crate::denoiser::Denoiser;
 use crate::error::EdmError;
-use crate::cost::CostModelConfig;
 use crate::model::{UNet, UNetConfig};
 use crate::registry::{ModelId, ModelRegistry};
 use crate::schedule::EdmSchedule;
 use crate::serve::{
-    AdmissionEngine, AdmissionPolicy, Admitted, Backpressure, BackpressurePolicy, BatchSampler,
-    InflightRef, QueueBound, RequestStats, ScheduledRequest, ServeRequest, ServeStats, Stream,
+    AdmissionPolicy, Backpressure, BackpressurePolicy, BatchSampler, QueueBound, ScheduledRequest,
+    ServeCore, ServeRequest, ServeStats,
 };
 use crate::wire::{self, json};
 use serde::Serialize;
@@ -55,7 +55,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Largest request body the daemon accepts; bigger gets 413 up front.
 const MAX_BODY: usize = 1 << 20;
@@ -125,32 +125,14 @@ struct RequestEntry {
     state: ReqState,
 }
 
-/// Admission metadata for one in-flight stream, parallel to
-/// `ModelServe::streams`.
-struct StreamMeta {
-    arrival_step: usize,
-    admitted_step: usize,
-    /// Daemon-lifetime submission index (policy tie-breaker).
-    token: usize,
-}
-
 /// Continuous-batching state of one resident model.
 struct ModelServe {
-    sampler: BatchSampler,
-    mcfg: UNetConfig,
+    /// The model's serving core: fair-share (or energy-capped) admission
+    /// over a pending queue bounded when the daemon was configured with
+    /// `max_pending`, the in-flight batch, and lifetime stats whose
+    /// request records cover completed requests only.
+    core: ServeCore,
     precision_label: String,
-    /// The shared admission path: fair-share policy over a pending queue
-    /// that is bounded when the daemon was configured with `max_pending`.
-    engine: AdmissionEngine,
-    /// Monotone per-model submission counter feeding the engine's
-    /// deterministic tie-breaks.
-    next_token: usize,
-    /// In-flight streams (at most `max_batch`).
-    streams: Vec<Stream>,
-    meta: Vec<StreamMeta>,
-    /// Lifetime stats; request records are appended at retirement, so
-    /// aggregates and percentiles cover completed requests only.
-    stats: ServeStats,
 }
 
 /// Everything behind the mutex.
@@ -162,8 +144,6 @@ struct ServerState {
     requests: BTreeMap<u64, RequestEntry>,
     /// Shared virtual clock, one tick per serve-loop iteration with work.
     clock: usize,
-    /// Total rounds executed across models.
-    rounds: usize,
     draining: bool,
     shutdown: bool,
     max_batch: usize,
@@ -172,165 +152,71 @@ struct ServerState {
     max_pending: Option<usize>,
     /// Per-window energy budget applied to every model's engine.
     energy_budget: Option<u64>,
-    /// Lifetime count of submissions refused with 429.
-    rejected: u64,
 }
 
 impl ServerState {
-    /// No request queued or in flight on any model.
+    /// No request queued, parked or in flight on any model.
     fn is_idle(&self) -> bool {
-        self.serving
-            .iter()
-            .all(|m| !m.engine.has_work() && m.streams.is_empty())
+        self.serving.iter().all(|m| m.core.is_idle())
     }
 
-    /// One tick of the virtual clock: admission, one round per non-idle
-    /// model, retirement. Called with work present.
+    /// Total rounds executed across models.
+    fn rounds(&self) -> usize {
+        self.serving.iter().map(|m| m.core.stats().rounds).sum()
+    }
+
+    /// One tick of the virtual clock: every model steps its core once
+    /// (admission, one batched round when anything is in flight,
+    /// retirement). Called with work present.
     fn tick(&mut self) {
         let ServerState {
             registry,
             serving,
             requests,
             clock,
-            rounds,
-            max_batch,
             ..
         } = self;
-
-        // Step-boundary admission through the shared engine (fair-share
-        // policy, same path as `Scheduler` and `RegistryScheduler`).
-        for ms in serving.iter_mut() {
-            if !ms.engine.has_work() {
-                continue;
-            }
-            let inflight: Vec<InflightRef> = ms
-                .streams
-                .iter()
-                .zip(&ms.meta)
-                .enumerate()
-                .map(|(k, (s, meta))| InflightRef {
-                    stream_key: k,
-                    scheduled: ScheduledRequest::new(s.request, meta.arrival_step),
-                    submit_index: meta.token,
-                    remaining: s.request.steps - s.cursor,
-                })
-                .collect();
-            let actions = ms.engine.boundary(&inflight, *max_batch, *clock, 0);
-            // Both daemon policies (fair share and energy-capped) never
-            // park — parking would invalidate the swap_remove retirement
-            // indices below.
-            debug_assert!(actions.park.is_empty(), "daemon policies never preempt");
-            for admitted in actions.admit {
-                let Admitted::Fresh {
-                    scheduled: sr,
-                    submit_index,
-                } = admitted
-                else {
-                    debug_assert!(false, "daemon policies never park, so nothing resumes");
-                    continue;
-                };
-                // Step budgets were validated at submit; a failure here
-                // is recorded instead of crashing the loop.
-                match ms.sampler.make_stream(&ms.mcfg, &sr.request) {
-                    Ok(stream) => {
-                        if let Some(entry) = requests.get_mut(&sr.request.id) {
-                            entry.state = ReqState::Running;
-                        }
-                        ms.streams.push(stream);
-                        ms.meta.push(StreamMeta {
-                            arrival_step: sr.arrival_step,
-                            admitted_step: *clock,
-                            token: submit_index,
-                        });
-                    }
-                    Err(e) => {
-                        if let Some(entry) = requests.get_mut(&sr.request.id) {
-                            entry.state = ReqState::Failed(e.to_string());
-                        }
-                    }
-                }
-            }
-        }
-
-        // One batched Heun round per model with in-flight streams.
         for (m, ms) in serving.iter_mut().enumerate() {
-            if ms.streams.is_empty() {
-                continue;
-            }
             let Some(model) = registry.model_mut(m) else {
                 continue;
             };
-            let active: Vec<usize> = (0..ms.streams.len()).collect();
             let (net, assignment, packs) = model.serve_parts();
-            let t0 = Instant::now();
-            match ms
-                .sampler
-                .round(net, &mut ms.streams, &active, assignment, packs)
-            {
-                Ok(()) => {
-                    ms.stats
-                        .step_latency_ns
-                        .push(t0.elapsed().as_nanos() as u64);
-                    ms.stats.batch_occupancy.push(active.len());
-                    ms.stats.queue_depth.push(ms.engine.queue_len());
-                    let (round_pj, round_occ) = ms.engine.round_accounting(active.len());
-                    ms.stats.round_energy_pj.push(round_pj);
-                    ms.stats.round_occupancy.push(round_occ);
-                    ms.stats.rounds += 1;
-                    *rounds += 1;
+            let stepped = ms.core.step(*clock, 0, net, assignment, packs, |done| {
+                // Stash the image bits in transport form.
+                let image = &done.output.image;
+                let payload = wire::ImagePayload {
+                    dims: image.dims().to_vec(),
+                    bits: image.as_slice().iter().map(|v| v.to_bits()).collect(),
+                };
+                requests.insert(
+                    done.record.id,
+                    RequestEntry {
+                        model: m,
+                        state: ReqState::Done(payload),
+                    },
+                );
+            });
+            match stepped {
+                Ok(_) => {
+                    for id in ms.core.inflight_ids() {
+                        if let Some(entry) = requests.get_mut(&id) {
+                            entry.state = ReqState::Running;
+                        }
+                    }
                 }
                 Err(e) => {
                     // Fail this model's in-flight requests; other models
                     // and future submissions keep serving.
                     let msg = e.to_string();
-                    ms.meta.clear();
-                    for stream in std::mem::take(&mut ms.streams) {
-                        if let Some(entry) = requests.get_mut(&stream.request.id) {
+                    ms.core.fail_inflight(|id| {
+                        if let Some(entry) = requests.get_mut(&id) {
                             entry.state = ReqState::Failed(msg.clone());
                         }
-                    }
+                    });
                 }
             }
         }
-
         *clock += 1;
-
-        // Retire exhausted streams: record stats, stash the image bits.
-        for (m, ms) in serving.iter_mut().enumerate() {
-            let mut k = 0;
-            while k < ms.streams.len() {
-                if ms.streams[k].cursor < ms.streams[k].request.steps {
-                    k += 1;
-                    continue;
-                }
-                let stream = ms.streams.swap_remove(k);
-                let meta = ms.meta.swap_remove(k);
-                let req = stream.request;
-                let out = stream.into_output();
-                ms.stats.requests.push(RequestStats {
-                    id: req.id,
-                    tenant: req.tenant,
-                    arrival_step: meta.arrival_step,
-                    admitted_step: meta.admitted_step,
-                    completed_step: *clock,
-                    queue_delay: meta.admitted_step - meta.arrival_step,
-                    steps_in_batch: *clock - meta.admitted_step,
-                    parked_steps: 0,
-                    latency: *clock - meta.arrival_step,
-                });
-                ms.stats.final_step = *clock;
-                requests.insert(
-                    req.id,
-                    RequestEntry {
-                        model: m,
-                        state: ReqState::Done(wire::ImagePayload {
-                            dims: out.image.dims().to_vec(),
-                            bits: out.image.as_slice().iter().map(|v| v.to_bits()).collect(),
-                        }),
-                    },
-                );
-            }
-        }
     }
 }
 
@@ -444,14 +330,12 @@ pub fn spawn(config: DaemonConfig) -> std::io::Result<DaemonHandle> {
             serving: Vec::new(),
             requests: BTreeMap::new(),
             clock: 0,
-            rounds: 0,
             draining: false,
             shutdown: false,
             max_batch: config.max_batch,
             round_delay: config.round_delay,
             max_pending: config.max_pending,
             energy_budget: config.energy_budget,
-            rejected: 0,
         }),
         work: Condvar::new(),
         done: Condvar::new(),
@@ -793,14 +677,14 @@ fn handle_register(shared: &Arc<Shared>, body: &str) -> HttpResponse {
     };
     let max_batch = st.max_batch;
     st.serving.push(ModelServe {
-        sampler: BatchSampler::new(den).with_traces(false),
-        mcfg,
+        core: ServeCore::new(
+            BatchSampler::new(den).with_traces(false),
+            policy,
+            bound,
+            cost,
+            max_batch,
+        ),
         precision_label: precision.clone(),
-        engine: AdmissionEngine::with_cost(policy, bound, cost, max_batch),
-        next_token: 0,
-        streams: Vec::new(),
-        meta: Vec::new(),
-        stats: ServeStats::default(),
     });
     ok_json(&wire::ModelRegistered {
         model,
@@ -837,37 +721,24 @@ fn handle_submit(shared: &Arc<Shared>, body: &str) -> HttpResponse {
         };
         return error_response(error_status(&err), err.to_string());
     }
-    if req.steps < 2 {
-        let err = EdmError::Config {
-            reason: format!(
-                "request {} has step budget {}; at least 2 required",
-                req.id, req.steps
-            ),
-        };
-        return error_response(error_status(&err), err.to_string());
-    }
     let arrival_step = st.clock;
     let serve_req = ServeRequest::new(req.id, req.steps)
         .seed(req.seed)
         .tenant(req.tenant)
         .priority(req.priority);
-    let ms = &mut st.serving[req.model];
-    let token = ms.next_token;
-    ms.next_token += 1;
-    let verdict = ms
-        .engine
-        .enqueue(ScheduledRequest::new(serve_req, arrival_step), token);
-    match verdict {
-        Backpressure::Accepted => {}
+    let core = &mut st.serving[req.model].core;
+    match core.submit(ScheduledRequest::new(serve_req, arrival_step)) {
+        // A step budget below 2: the 400 every serving surface raises.
+        Err(err) => return error_response(error_status(&err), err.to_string()),
+        Ok(Backpressure::Accepted) => {}
         // The daemon's bound uses the Reject policy, so Shed never
         // arrives here; refuse with 429 and keep the id reusable.
-        Backpressure::Rejected(_) | Backpressure::Shed { .. } => {
-            st.rejected += 1;
+        Ok(Backpressure::Rejected(_) | Backpressure::Shed { .. }) => {
             let err = EdmError::Overloaded {
                 reason: format!(
                     "model {} pending queue is full ({} queued); retry after admissions drain",
                     req.model,
-                    st.serving[req.model].engine.queue_len()
+                    core.queue_len()
                 ),
             };
             return error_response(error_status(&err), err.to_string());
@@ -915,29 +786,38 @@ fn handle_stats(shared: &Arc<Shared>) -> HttpResponse {
     let some_finite = |v: f64| if v.is_finite() { Some(v) } else { None };
     // Energy/occupancy are meaningful only under a real cost model; the
     // no-op model's all-zero accounting stays absent on the wire.
-    let some_pos = |v: f64| if v.is_finite() && v > 0.0 { Some(v) } else { None };
+    let some_pos = |v: f64| {
+        if v.is_finite() && v > 0.0 {
+            Some(v)
+        } else {
+            None
+        }
+    };
     let models = st
         .serving
         .iter()
         .enumerate()
-        .map(|(m, ms)| wire::ModelStatsWire {
-            model: m,
-            name: st
-                .registry
-                .model(m)
-                .map(|r| r.name().to_string())
-                .unwrap_or_default(),
-            precision: ms.precision_label.clone(),
-            completed: ms.stats.requests.len(),
-            rounds: ms.stats.rounds,
-            mean_latency: some_finite(ms.stats.mean_latency()),
-            p50_latency: ms.stats.p50_latency(),
-            p95_latency: ms.stats.p95_latency(),
-            p99_latency: ms.stats.p99_latency(),
-            mean_batch_occupancy: some_finite(ms.stats.mean_batch_occupancy()),
-            energy_per_image_pj: some_pos(ms.stats.energy_per_image_pj()),
-            mean_occupancy: some_pos(ms.stats.mean_occupancy()),
-            peak_occupancy: some_pos(ms.stats.peak_occupancy()),
+        .map(|(m, ms)| {
+            let s = ms.core.stats();
+            wire::ModelStatsWire {
+                model: m,
+                name: st
+                    .registry
+                    .model(m)
+                    .map(|r| r.name().to_string())
+                    .unwrap_or_default(),
+                precision: ms.precision_label.clone(),
+                completed: s.requests.len(),
+                rounds: s.rounds,
+                mean_latency: some_finite(s.mean_latency()),
+                p50_latency: s.p50_latency(),
+                p95_latency: s.p95_latency(),
+                p99_latency: s.p99_latency(),
+                mean_batch_occupancy: some_finite(s.mean_batch_occupancy()),
+                energy_per_image_pj: some_pos(s.energy_per_image_pj()),
+                mean_occupancy: some_pos(s.mean_occupancy()),
+                peak_occupancy: some_pos(s.peak_occupancy()),
+            }
         })
         .collect();
     // Cross-model tenant rollups over completed requests (their per-tenant
@@ -946,21 +826,23 @@ fn handle_stats(shared: &Arc<Shared>) -> HttpResponse {
         requests: st
             .serving
             .iter()
-            .flat_map(|ms| ms.stats.requests.iter().copied())
+            .flat_map(|ms| ms.core.stats().requests.iter().copied())
             .collect(),
         ..ServeStats::default()
     };
-    let active_requests = st
+    let active_requests = st.serving.iter().map(|ms| ms.core.active()).sum();
+    // Every 429 refusal is a rejected id in its model's stats.
+    let rejected = st
         .serving
         .iter()
-        .map(|ms| ms.engine.queue_len() + ms.streams.len())
+        .map(|ms| ms.core.stats().rejected_ids.len() as u64)
         .sum();
     ok_json(&wire::StatsReply {
         clock: st.clock,
-        rounds: st.rounds,
+        rounds: st.rounds(),
         draining: st.draining,
         active_requests,
-        rejected: st.rejected,
+        rejected,
         proto_version: wire::PROTO_VERSION,
         models,
         tenants: all.tenant_rollups(),
@@ -980,10 +862,14 @@ fn handle_drain(shared: &Arc<Shared>) -> HttpResponse {
     if st.shutdown {
         return error_response(503, "daemon shut down before the drain completed");
     }
-    let completed = st.serving.iter().map(|ms| ms.stats.requests.len()).sum();
+    let completed = st
+        .serving
+        .iter()
+        .map(|ms| ms.core.stats().requests.len())
+        .sum();
     ok_json(&wire::DrainReply {
         completed,
-        rounds: st.rounds,
+        rounds: st.rounds(),
         final_step: st.clock,
         proto_version: wire::PROTO_VERSION,
     })

@@ -70,11 +70,11 @@ pub use schedule::EdmSchedule;
 // Re-exported so `RunConfig::packs` and the registry types are usable
 // without naming `sqdm_nn` directly.
 pub use serve::{
-    delta_row_masks, serve_batch, AdmissionPolicy, AdmitCtx, AdmitDecision, BackpressurePolicy,
-    BatchSampler, Candidate, EnergyCappedPolicy, FairSharePolicy, FifoPolicy, GangPolicy,
-    InflightInfo, OccupancyTargetPolicy, Policy, PreemptPolicy, PriorityPolicy, QueueBound,
-    RequestStats, ScheduledRequest, Scheduler, ServeRequest, ServeStats, ServedOutput,
-    ShortestBudgetFirstPolicy, TenantId, TenantRollup, PRIORITY_AGE_STEPS,
+    delta_row_masks, AdmissionPolicy, AdmitCtx, AdmitDecision, BackpressurePolicy, BatchSampler,
+    Candidate, EnergyCappedPolicy, FairSharePolicy, FifoPolicy, GangPolicy, InflightInfo,
+    OccupancyTargetPolicy, Policy, PreemptPolicy, PriorityPolicy, QueueBound, RequestStats,
+    ScheduledRequest, Scheduler, ServeRequest, ServeStats, ServedOutput, ShortestBudgetFirstPolicy,
+    TenantId, TenantRollup, PRIORITY_AGE_STEPS,
 };
 pub use sqdm_nn::PackCache;
 pub use train::{finetune_relu, train, train_step, TrainConfig, TrainReport};

@@ -9,14 +9,14 @@
 //!
 //! The [`RegistryScheduler`] multiplexes a continuous-batching loop over
 //! the registry: requests are tagged with a [`ModelId`] and a
-//! [`TenantId`], each model keeps its own in-flight batch (capped at
-//! [`RegistryScheduler::max_batch`]), and at every step boundary each
-//! model runs its own admission engine — the same sealed
-//! [`crate::serve::Policy`] path the single-model [`crate::serve::Scheduler`]
-//! uses, selected by [`RegistryScheduler::policy`] (deterministic
-//! round-robin tenant fair share by default, with a per-model resume
-//! cursor). Each outer tick then advances every non-idle model by one
-//! batched Heun round.
+//! [`TenantId`], and each model gets its own serving core — the same one
+//! behind the single-model [`crate::serve::Scheduler`] — with its own
+//! in-flight batch (capped at [`RegistryScheduler::max_batch`]) and its
+//! own instance of the admission [`crate::serve::Policy`] selected by
+//! [`RegistryScheduler::policy`] (deterministic round-robin tenant fair
+//! share by default, with a per-model resume cursor). Each tick of the
+//! shared virtual clock steps every model once: admission at the
+//! boundary, then one batched Heun round per non-idle model.
 //!
 //! # Determinism contract
 //!
@@ -30,26 +30,23 @@
 //!
 //! # Allocation discipline
 //!
-//! The serve loop runs inside an [`arena::scope`]: after the first round
-//! of each batch shape, every transient buffer — packed states, im2col
-//! scratch, coefficient vectors, activation tensors — is a pool hit, and
-//! the steady state performs (approximately) zero heap allocations. The
-//! `serve_steady_state` scenario in `sqdm-bench` pins this with a
-//! counting allocator.
+//! The serve loop runs inside an [`sqdm_tensor::arena::scope`]: after the
+//! first round of each batch shape, every transient buffer — packed
+//! states, im2col scratch, coefficient vectors, activation tensors — is a
+//! pool hit, and the steady state performs (approximately) zero heap
+//! allocations. The `serve_steady_state` scenario in `sqdm-bench` pins
+//! this with a counting allocator.
 
 use crate::cost::CostModelConfig;
 use crate::denoiser::Denoiser;
 use crate::error::{EdmError, Result};
 use crate::model::{UNet, UNetConfig};
 use crate::serve::{
-    validate_unique_ids, AdmissionEngine, AdmissionPolicy, Admitted, Backpressure, BatchSampler,
-    InflightRef, RequestStats, ScheduledRequest, ServeStats, ServedOutput, Stream, TenantId,
-    TenantRollup,
+    serve_offline, AdmissionPolicy, BatchSampler, ModelParts, RequestStats, ScheduledRequest,
+    ServeCore, ServeStats, ServedOutput, TenantId, TenantRollup,
 };
 use sqdm_nn::PackCache;
 use sqdm_quant::PrecisionAssignment;
-use sqdm_tensor::arena;
-use std::time::Instant;
 
 /// Index of a resident model inside its [`ModelRegistry`].
 pub type ModelId = usize;
@@ -96,7 +93,7 @@ impl ResidentModel {
     /// Split borrow for a serve round: the mutable network alongside the
     /// precision assignment and pack cache it serves with. Needed because
     /// a round mutates the net while reading the other two fields.
-    pub(crate) fn serve_parts(&mut self) -> (&mut UNet, Option<&PrecisionAssignment>, &PackCache) {
+    pub(crate) fn serve_parts(&mut self) -> ModelParts<'_> {
         (&mut self.net, self.assignment.as_ref(), &self.packs)
     }
 }
@@ -292,261 +289,60 @@ impl RegistryScheduler {
                 reason: "registry scheduler max_batch must be at least 1".into(),
             });
         }
-        validate_unique_ids(requests.iter().map(|r| r.scheduled.request.id))?;
         let nm = registry.models.len();
-        for r in requests {
-            if r.model >= nm {
-                return Err(EdmError::Config {
-                    reason: format!(
-                        "request {} targets model {} but the registry holds {}",
-                        r.scheduled.request.id, r.model, nm
-                    ),
-                });
-            }
-            if r.scheduled.request.steps < 2 {
-                return Err(EdmError::Config {
-                    reason: format!(
-                        "request {} has step budget {}; at least 2 required",
-                        r.scheduled.request.id, r.scheduled.request.steps
-                    ),
-                });
-            }
+        if let Some(r) = requests.iter().find(|r| r.model >= nm) {
+            return Err(EdmError::Config {
+                reason: format!(
+                    "request {} targets model {} but the registry holds {}",
+                    r.scheduled.request.id, r.model, nm
+                ),
+            });
         }
-
-        // Partition submissions per model, keeping the global submission
-        // index so outputs come back in submission order.
-        let mut reqs: Vec<Vec<ScheduledRequest>> = vec![Vec::new(); nm];
-        let mut global: Vec<Vec<usize>> = vec![Vec::new(); nm];
-        for (gi, r) in requests.iter().enumerate() {
-            reqs[r.model].push(r.scheduled);
-            global[r.model].push(gi);
-        }
-
-        let samplers: Vec<BatchSampler> = registry
+        // One core per model, each running the policy with private state
+        // over an unbounded queue, all on the shared clock.
+        let mut cores: Vec<ServeCore> = registry
             .models
             .iter()
-            .map(|m| BatchSampler::new(m.den).with_traces(self.record_traces))
-            .collect();
-        let mcfgs: Vec<UNetConfig> = registry.models.iter().map(|m| *m.net.config()).collect();
-
-        // Per-model scheduler state, mirroring `Scheduler::run_with_packs`:
-        // each model owns an unbounded admission engine running the
-        // scheduler's policy with private state.
-        let mut future: Vec<Vec<usize>> = (0..nm)
             .map(|m| {
-                let mut f: Vec<usize> = (0..reqs[m].len()).collect();
-                f.sort_by_key(|&i| (reqs[m][i].arrival_step, i));
-                f
+                ServeCore::new(
+                    BatchSampler::new(m.den).with_traces(self.record_traces),
+                    self.policy,
+                    None,
+                    self.cost,
+                    self.max_batch,
+                )
             })
             .collect();
-        let mut engines: Vec<AdmissionEngine> = (0..nm)
-            .map(|_| AdmissionEngine::with_cost(self.policy, None, self.cost, self.max_batch))
+        let mut models: Vec<_> = registry
+            .models
+            .iter_mut()
+            .map(ResidentModel::serve_parts)
             .collect();
-        let mut streams: Vec<Vec<Stream>> = (0..nm).map(|_| Vec::new()).collect();
-        let mut owner: Vec<Vec<usize>> = (0..nm).map(|_| Vec::new()).collect();
-        let mut inflight: Vec<Vec<usize>> = (0..nm).map(|_| Vec::new()).collect();
-        let mut parked_at: Vec<Vec<usize>> = (0..nm).map(|m| vec![0; reqs[m].len()]).collect();
-        let mut per_model: Vec<ServeStats> = (0..nm)
-            .map(|m| {
-                // Rounds never exceed the model's total step budget, so
-                // reserving the per-round timelines up front keeps the
-                // steady-state serving loop free of amortized growth
-                // (the zero-allocation gate measures exactly this).
-                let round_cap: usize = reqs[m].iter().map(|r| r.request.steps).sum();
-                ServeStats {
-                    requests: reqs[m]
-                        .iter()
-                        .map(|r| RequestStats {
-                            id: r.request.id,
-                            tenant: r.request.tenant,
-                            arrival_step: r.arrival_step,
-                            admitted_step: 0,
-                            completed_step: 0,
-                            queue_delay: 0,
-                            steps_in_batch: 0,
-                            parked_steps: 0,
-                            latency: 0,
-                        })
-                        .collect(),
-                    step_latency_ns: Vec::with_capacity(round_cap),
-                    batch_occupancy: Vec::with_capacity(round_cap),
-                    queue_depth: Vec::with_capacity(round_cap),
-                    round_energy_pj: Vec::with_capacity(round_cap),
-                    round_occupancy: Vec::with_capacity(round_cap),
-                    ..ServeStats::default()
-                }
+        let addressed: Vec<_> = requests.iter().map(|r| (r.model, r.scheduled)).collect();
+        let (retired, clock) = serve_offline(&mut cores, &mut models, &addressed)?;
+
+        let mut per_model: Vec<ServeStats> = cores
+            .into_iter()
+            .map(|core| ServeStats {
+                final_step: clock,
+                requests: Vec::new(),
+                ..core.into_stats()
             })
             .collect();
-        let mut clock = 0usize;
-        let mut total_rounds = 0usize;
-
-        arena::scope(|| {
-            loop {
-                let busy = inflight.iter().any(|f| !f.is_empty());
-                let queued = engines.iter().any(|e| e.has_work());
-                let waiting = future.iter().any(|p| !p.is_empty());
-                if !busy && !waiting && !queued {
-                    break;
-                }
-                if !busy && !queued {
-                    // Idle: jump the shared clock to the earliest arrival.
-                    let reqs = &reqs;
-                    let earliest = future
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(m, p)| p.iter().map(move |&i| reqs[m][i].arrival_step))
-                        .min()
-                        .expect("future nonempty when nothing is in flight or queued");
-                    clock = clock.max(earliest);
-                }
-                // Per model: move arrivals into the engine, then run the
-                // policy at the step boundary (shared path with the
-                // single-model scheduler).
-                for m in 0..nm {
-                    while let Some(&i) = future[m].first() {
-                        if reqs[m][i].arrival_step > clock {
-                            break;
-                        }
-                        future[m].remove(0);
-                        let verdict = engines[m].enqueue(reqs[m][i], i);
-                        debug_assert!(
-                            matches!(verdict, Backpressure::Accepted),
-                            "registry engines are unbounded"
-                        );
-                    }
-                    let inflight_refs: Vec<InflightRef> = inflight[m]
-                        .iter()
-                        .map(|&k| InflightRef {
-                            stream_key: k,
-                            scheduled: reqs[m][owner[m][k]],
-                            submit_index: owner[m][k],
-                            remaining: streams[m][k].request.steps - streams[m][k].cursor,
-                        })
-                        .collect();
-                    let actions =
-                        engines[m].boundary(&inflight_refs, self.max_batch, clock, future[m].len());
-                    for &k in &actions.park {
-                        inflight[m].retain(|&key| key != k);
-                        parked_at[m][owner[m][k]] = clock;
-                        per_model[m].preemptions += 1;
-                    }
-                    for admitted in &actions.admit {
-                        match *admitted {
-                            Admitted::Fresh {
-                                scheduled,
-                                submit_index,
-                            } => {
-                                let stream =
-                                    samplers[m].make_stream(&mcfgs[m], &scheduled.request)?;
-                                owner[m].push(submit_index);
-                                inflight[m].push(streams[m].len());
-                                streams[m].push(stream);
-                                per_model[m].requests[submit_index].admitted_step = clock;
-                                per_model[m].requests[submit_index].queue_delay =
-                                    clock - scheduled.arrival_step;
-                            }
-                            Admitted::Resumed {
-                                stream_key,
-                                submit_index,
-                            } => {
-                                inflight[m].push(stream_key);
-                                per_model[m].requests[submit_index].parked_steps +=
-                                    clock - parked_at[m][submit_index];
-                            }
-                        }
-                    }
-                }
-                if inflight.iter().all(|f| f.is_empty()) {
-                    // Nothing admitted anywhere (e.g. gangs still
-                    // assembling): jump to the next arrival, or flag a
-                    // stalled policy.
-                    let reqs = &reqs;
-                    if let Some(next) = future
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(m, p)| p.iter().map(move |&i| reqs[m][i].arrival_step))
-                        .filter(|&a| a > clock)
-                        .min()
-                    {
-                        clock = next;
-                        continue;
-                    }
-                    if engines.iter().any(|e| e.has_work()) {
-                        return Err(EdmError::Config {
-                            reason: "admission stalled: queued work with no in-flight \
-                                     streams and no future arrivals"
-                                .into(),
-                        });
-                    }
-                    continue;
-                }
-                // One batched Heun round per non-idle model.
-                for m in 0..nm {
-                    if inflight[m].is_empty() {
-                        continue;
-                    }
-                    let model = &mut registry.models[m];
-                    let t0 = Instant::now();
-                    samplers[m].round(
-                        &mut model.net,
-                        &mut streams[m],
-                        &inflight[m],
-                        model.assignment.as_ref(),
-                        &model.packs,
-                    )?;
-                    per_model[m]
-                        .step_latency_ns
-                        .push(t0.elapsed().as_nanos() as u64);
-                    per_model[m].batch_occupancy.push(inflight[m].len());
-                    per_model[m].queue_depth.push(engines[m].queue_len());
-                    let (round_pj, round_occ) = engines[m].round_accounting(inflight[m].len());
-                    per_model[m].round_energy_pj.push(round_pj);
-                    per_model[m].round_occupancy.push(round_occ);
-                    per_model[m].rounds += 1;
-                    total_rounds += 1;
-                }
-                clock += 1;
-                // Retire exhausted streams.
-                for m in 0..nm {
-                    let (streams_m, owner_m, stats_m) = (&streams[m], &owner[m], &mut per_model[m]);
-                    let reqs_m = &reqs[m];
-                    inflight[m].retain(|&k| {
-                        let done = streams_m[k].cursor >= streams_m[k].request.steps;
-                        if done {
-                            let i = owner_m[k];
-                            stats_m.requests[i].completed_step = clock;
-                            stats_m.requests[i].steps_in_batch = clock
-                                - stats_m.requests[i].admitted_step
-                                - stats_m.requests[i].parked_steps;
-                            stats_m.requests[i].latency = clock - reqs_m[i].arrival_step;
-                        }
-                        !done
-                    });
-                }
+        // Outputs in global submission order; each model's records in its
+        // own submission order. Unbounded queues never shed or reject.
+        let mut outputs = Vec::with_capacity(requests.len());
+        for (r, done) in requests.iter().zip(retired) {
+            if let Some(done) = done {
+                per_model[r.model].requests.push(done.record);
+                outputs.push(done.output);
             }
-            Ok::<(), EdmError>(())
-        })?;
-
-        for s in &mut per_model {
-            s.final_step = clock;
         }
         let stats = RegistryStats {
-            rounds: total_rounds,
+            rounds: per_model.iter().map(|s| s.rounds).sum(),
             final_step: clock,
             per_model,
         };
-
-        // Outputs back in global submission order.
-        let mut slots: Vec<Option<ServedOutput>> = (0..requests.len()).map(|_| None).collect();
-        for m in 0..nm {
-            for (k, stream) in std::mem::take(&mut streams[m]).into_iter().enumerate() {
-                slots[global[m][owner[m][k]]] = Some(stream.into_output());
-            }
-        }
-        let outputs = slots
-            .into_iter()
-            .map(|o| o.expect("every request was admitted and served"))
-            .collect();
         Ok((outputs, stats))
     }
 }

@@ -46,18 +46,28 @@
 //! and retire, so a long-running request never blocks a short one behind
 //! a full gang.
 //!
+//! Both run on one per-model serving core (`ServeCore`): it owns the
+//! sampler, the admission engine, the admitted streams with their
+//! per-request metadata, and the [`ServeStats`], and each `step` runs one
+//! boundary, one batched round, its accounting and the retirements. The
+//! offline front-ends — [`BatchSampler::run`], [`Scheduler::run`] and
+//! [`crate::registry::RegistryScheduler::run`] (one core per model on a
+//! shared clock) — only feed arrivals and advance the clock; the `sqdmd`
+//! daemon steps each model's core once per tick of its serve loop.
+//!
 //! # Admission policies and backpressure
 //!
 //! Admission order is decided by a sealed, deterministic [`Policy`] trait
-//! — the scheduler core never special-cases a policy. The
-//! [`AdmissionPolicy`] enum is the serializable selector over the six
+//! — the serving core never special-cases a policy. The
+//! [`AdmissionPolicy`] enum is the serializable selector over the eight
 //! built-in implementations: FIFO, shortest-budget-first, the
 //! gang-scheduling baseline, tenant fair share, static [`ServeRequest`]
-//! priority, and budget-aware preemption (which *parks* an in-flight
-//! stream — state frozen bit-for-bit — and resumes it at a later
-//! boundary). The pending queue can be bounded with a [`QueueBound`]
-//! whose [`BackpressurePolicy`] either rejects the newcomer or sheds the
-//! oldest / largest-budget queued request. Every run records per-request
+//! priority, budget-aware preemption (which *parks* an in-flight stream —
+//! state frozen bit-for-bit — and resumes it at a later boundary), an
+//! energy budget, and an occupancy band (which parks as well). The
+//! pending queue can be bounded with a [`QueueBound`] whose
+//! [`BackpressurePolicy`] either rejects the newcomer or sheds the oldest
+//! / largest-budget queued request. Every run records per-request
 //! queueing delay and latency, per-round batch occupancy, queue depth,
 //! and wall-clock, plus shed/reject ids and preemption counts, into a
 //! serializable [`ServeStats`].
@@ -221,25 +231,56 @@ pub struct BatchSampler {
     pub record_traces: bool,
 }
 
-/// One in-flight request stream.
-pub(crate) struct Stream {
-    pub(crate) request: ServeRequest,
+/// One admitted request stream: its denoising state plus the admission
+/// metadata its [`RequestStats`] record is built from.
+struct Stream {
+    scheduled: ScheduledRequest,
+    /// The owning [`ServeCore`]'s submission index; also the stream's key
+    /// in the admission engine's park and resume decisions.
+    submit_index: usize,
+    /// Boundary at which the stream was admitted.
+    admitted_step: usize,
+    /// Boundary of the stream's most recent park.
+    parked_at: usize,
+    /// Steps spent parked so far.
+    parked_steps: usize,
     /// This stream's sigma grid, `steps + 1` points ending at 0.
     grid: Vec<f32>,
-    /// Next step index; the stream retires at `cursor == request.steps`.
-    pub(crate) cursor: usize,
+    /// Next step index; the stream retires at `cursor == steps`.
+    cursor: usize,
     /// Current state, `[1, C, S, S]`.
     x: Tensor,
     traces: BTreeMap<(usize, usize), TemporalTrace>,
 }
 
 impl Stream {
+    /// Denoise steps still owed before the stream retires.
+    fn remaining(&self) -> usize {
+        self.scheduled.request.steps - self.cursor
+    }
+
+    /// The stream's timing record, had it retired at `completed_step`.
+    fn record(&self, completed_step: usize) -> RequestStats {
+        let (arrival, admitted) = (self.scheduled.arrival_step, self.admitted_step);
+        RequestStats {
+            id: self.scheduled.request.id,
+            tenant: self.scheduled.request.tenant,
+            arrival_step: arrival,
+            admitted_step: admitted,
+            completed_step,
+            queue_delay: admitted - arrival,
+            steps_in_batch: completed_step - admitted - self.parked_steps,
+            parked_steps: self.parked_steps,
+            latency: completed_step - arrival,
+        }
+    }
+
     /// Consumes a retired stream into its served output.
-    pub(crate) fn into_output(self) -> ServedOutput {
+    fn into_output(self) -> ServedOutput {
         ServedOutput {
-            id: self.request.id,
+            id: self.scheduled.request.id,
             image: self.x,
-            steps: self.request.steps,
+            steps: self.scheduled.request.steps,
             traces: self.traces,
         }
     }
@@ -271,8 +312,8 @@ impl BatchSampler {
     ///
     /// # Errors
     ///
-    /// Returns [`EdmError::Config`] for a zero-step request and propagates
-    /// model errors.
+    /// Returns [`EdmError::Config`] for duplicate request ids or a step
+    /// budget below 2, and propagates model errors.
     pub fn run(
         &self,
         net: &mut UNet,
@@ -299,90 +340,81 @@ impl BatchSampler {
         assignment: Option<&PrecisionAssignment>,
         packs: &PackCache,
     ) -> Result<Vec<ServedOutput>> {
-        validate_unique_ids(requests.iter().map(|r| r.id))?;
-        let mcfg = *net.config();
-        // The arena scope turns every transient buffer the rounds take —
-        // activation tensors, im2col scratch, packed states — into pool
-        // hits after the first round: the steady state allocates nothing.
-        arena::scope(|| {
-            let mut streams = requests
-                .iter()
-                .map(|req| self.make_stream(&mcfg, req))
-                .collect::<Result<Vec<_>>>()?;
-
-            loop {
-                let mut active = arena::take::<usize>(streams.len());
-                active.extend(
-                    (0..streams.len()).filter(|&i| streams[i].cursor < streams[i].request.steps),
-                );
-                if active.is_empty() {
-                    arena::recycle(active);
-                    break;
-                }
-                self.round(net, &mut streams, &active, assignment, packs)?;
-                arena::recycle(active);
-            }
-
-            Ok(streams.into_iter().map(Stream::into_output).collect())
-        })
+        // A static batch is continuous batching with everyone present at
+        // step 0 and room for all of them.
+        let sched = Scheduler {
+            sampler: *self,
+            max_batch: requests.len().max(1),
+            ..Scheduler::new(self.den, 1)
+        };
+        let requests: Vec<_> = requests
+            .iter()
+            .map(|&r| ScheduledRequest::new(r, 0))
+            .collect();
+        Ok(sched.run_with_packs(net, &requests, assignment, packs)?.0)
     }
 
-    /// Initializes one stream: validates the step budget and draws the
-    /// request's private initial noise. The state depends only on
-    /// `(seed, steps)`, never on *when* the stream is admitted, which is
-    /// what lets the [`Scheduler`] create streams lazily at admission
-    /// without perturbing results.
-    pub(crate) fn make_stream(&self, mcfg: &UNetConfig, req: &ServeRequest) -> Result<Stream> {
-        // The Karras grid needs at least two sigma points.
-        if req.steps < 2 {
-            return Err(EdmError::Config {
-                reason: format!(
-                    "request {} has step budget {}; at least 2 required",
-                    req.id, req.steps
-                ),
-            });
-        }
+    /// Initializes one admitted stream and draws the request's private
+    /// initial noise. The state depends only on `(seed, steps)`, never on
+    /// *when* the stream is admitted, which is what lets streams be created
+    /// lazily at admission without perturbing results. The budget was
+    /// checked by [`validate_request`] at submission.
+    fn make_stream(
+        &self,
+        mcfg: &UNetConfig,
+        scheduled: ScheduledRequest,
+        submit_index: usize,
+        clock: usize,
+    ) -> Stream {
+        let req = scheduled.request;
         let s = mcfg.image_size;
         let grid = self.den.schedule.sigma_steps(req.steps);
         let mut rng = Rng::seed_from(req.seed);
         let x = Tensor::randn([1, mcfg.in_channels, s, s], &mut rng).scale(grid[0]);
-        Ok(Stream {
-            request: *req,
+        Stream {
+            scheduled,
+            submit_index,
+            admitted_step: clock,
+            parked_at: 0,
+            parked_steps: 0,
             grid,
             cursor: 0,
             x,
             traces: BTreeMap::new(),
-        })
+        }
     }
 
-    /// Advances the `active` streams by one Heun step with one batched
+    /// Advances every stream in `streams` by one Heun step with one batched
     /// denoiser evaluation (plus one batched correction evaluation for the
     /// streams not on their final step). The batch composition may differ
     /// on every call — streams join and retire between rounds — and each
     /// stream's arithmetic is independent of its neighbors, so any
     /// composition produces the solo-`sample()` bits.
-    pub(crate) fn round(
+    fn round(
         &self,
         net: &mut UNet,
         streams: &mut [Stream],
-        active: &[usize],
         assignment: Option<&PrecisionAssignment>,
         packs: &PackCache,
     ) -> Result<()> {
-        let dims = streams[active[0]].x.dims();
+        let dims = streams[0].x.dims();
         let (c, s) = (dims[1], dims[2]);
         let chw = c * s * s;
-        let a = active.len();
+        let a = streams.len();
         // Pack the in-flight states into one [A, C, S, S] batch; every
         // stream contributes its own sigma, so streams at different
         // noise steps share the forward.
-        let packed = pack_states(streams, active, chw)?;
+        let mut packed = arena::take::<f32>(a * chw);
+        for st in streams.iter() {
+            packed.extend_from_slice(st.x.as_slice());
+        }
+        let packed = Tensor::from_vec(packed, [a, c, s, s])?;
         let mut sigmas = arena::take::<f32>(a);
-        sigmas.extend(active.iter().map(|&i| streams[i].grid[streams[i].cursor]));
+        sigmas.extend(streams.iter().map(|st| st.grid[st.cursor]));
         let d0 = {
             let record = self.record_traces;
             let mut obs = |ev: ActEvent<'_>| {
-                record_event(streams, active, &ev);
+                record_event(streams, &ev);
             };
             let mut rc = RunConfig {
                 train: false,
@@ -402,8 +434,7 @@ impl BatchSampler {
         // pass through unchanged, which preserves the bitwise contract.
         let mut nexts = arena::take_zeroed::<f32>(a * chw);
         let mut slopes = arena::take_zeroed::<f32>(a * chw);
-        for (slot, &i) in active.iter().enumerate() {
-            let st = &streams[i];
+        for (slot, st) in streams.iter().enumerate() {
             let (sig, sig_next) = (st.grid[st.cursor], st.grid[st.cursor + 1]);
             let d0_i = d0.batch_sample(slot)?;
             let slope = st.x.sub(&d0_i)?.scale(1.0 / sig);
@@ -417,7 +448,7 @@ impl BatchSampler {
         // `crate::sample`).
         let mut corr = arena::take::<usize>(a);
         corr.extend((0..a).filter(|&slot| {
-            let st = &streams[active[slot]];
+            let st = &streams[slot];
             st.grid[st.cursor + 1] > 0.0
         }));
         if !corr.is_empty() {
@@ -425,7 +456,7 @@ impl BatchSampler {
             let mut sig_nexts = arena::take::<f32>(corr.len());
             for &slot in corr.iter() {
                 packed_next.extend_from_slice(&nexts[slot * chw..(slot + 1) * chw]);
-                let st = &streams[active[slot]];
+                let st = &streams[slot];
                 sig_nexts.push(st.grid[st.cursor + 1]);
             }
             let packed_next = Tensor::from_vec(packed_next, [corr.len(), c, s, s])?;
@@ -442,7 +473,7 @@ impl BatchSampler {
             };
             arena::recycle(sig_nexts);
             for (cslot, &slot) in corr.iter().enumerate() {
-                let st = &streams[active[slot]];
+                let st = &streams[slot];
                 let (sig, sig_next) = (st.grid[st.cursor], st.grid[st.cursor + 1]);
                 let d1_i = d1.batch_sample(cslot)?;
                 let x_next = tensor_from(&nexts[slot * chw..(slot + 1) * chw], [1, c, s, s])?;
@@ -456,12 +487,10 @@ impl BatchSampler {
             }
         }
         arena::recycle(corr);
-        for (slot, &i) in active.iter().enumerate() {
-            streams[i]
-                .x
-                .as_mut_slice()
+        for (slot, st) in streams.iter_mut().enumerate() {
+            st.x.as_mut_slice()
                 .copy_from_slice(&nexts[slot * chw..(slot + 1) * chw]);
-            streams[i].cursor += 1;
+            st.cursor += 1;
         }
         arena::recycle(nexts);
         arena::recycle(slopes);
@@ -479,7 +508,7 @@ fn tensor_from(data: &[f32], dims: [usize; 4]) -> Result<Tensor> {
 /// Rejects duplicate request ids up front: a duplicate would make
 /// [`ServedOutput`] lookup by id ambiguous, so serving refuses the batch
 /// at entry instead of silently returning two outputs under one id.
-pub(crate) fn validate_unique_ids(ids: impl Iterator<Item = u64>) -> Result<()> {
+fn validate_unique_ids(ids: impl Iterator<Item = u64>) -> Result<()> {
     let mut seen = BTreeSet::new();
     for id in ids {
         if !seen.insert(id) {
@@ -487,6 +516,20 @@ pub(crate) fn validate_unique_ids(ids: impl Iterator<Item = u64>) -> Result<()> 
                 reason: format!("duplicate request id {id}"),
             });
         }
+    }
+    Ok(())
+}
+
+/// Rejects a request every serving surface would refuse: the Karras grid
+/// needs at least two sigma points, so the step budget must be at least 2.
+fn validate_request(req: &ServeRequest) -> Result<()> {
+    if req.steps < 2 {
+        return Err(EdmError::Config {
+            reason: format!(
+                "request {} has step budget {}; at least 2 required",
+                req.id, req.steps
+            ),
+        });
     }
     Ok(())
 }
@@ -822,9 +865,7 @@ impl Policy for PreemptPolicy {
 /// admitting a candidate charges its whole remaining trajectory
 /// (`per-round estimate × remaining steps`) against the window's budget,
 /// and admission stops once the budget is exhausted — deferred candidates
-/// simply stay queued until a fresh window opens. Never parks, so the
-/// policy is safe on every serving surface including the daemon (whose
-/// stream storage cannot survive parking).
+/// simply stay queued until a fresh window opens. Never parks.
 #[derive(Debug, Clone, Copy)]
 pub struct EnergyCappedPolicy {
     budget_pj: u64,
@@ -889,7 +930,6 @@ impl Policy for EnergyCappedPolicy {
 /// streams are parked (newest first, always keeping one) while their
 /// occupancy alone exceeds `hi`. With zero-cost estimates (the no-op
 /// model) projections are always zero and the policy degrades to FIFO.
-/// Parks streams, so it is scheduler-only — the daemon must not use it.
 #[derive(Debug, Clone, Copy)]
 pub struct OccupancyTargetPolicy {
     lo: f64,
@@ -995,7 +1035,7 @@ pub enum AdmissionPolicy {
     /// [`crate::cost::CostModel`]). Once the window's budget is spent,
     /// further candidates stay queued until the next window. Never parks
     /// and always admits at least one candidate when nothing is in
-    /// flight, so it is deadlock-free and daemon-safe. With the no-op
+    /// flight, so it is deadlock-free. With the no-op
     /// cost model every estimate is zero and this degrades to
     /// [`AdmissionPolicy::Fifo`].
     EnergyCapped {
@@ -1007,10 +1047,9 @@ pub enum AdmissionPolicy {
     /// Occupancy-band admission: packs the batch toward a PE-utilisation
     /// band `[lo_pct, hi_pct]`% of the provisioned array, admitting while
     /// the projected occupancy stays inside the band and parking the
-    /// newest in-flight streams while it overshoots. Parks streams, so
-    /// scheduler-only — the daemon's stream storage cannot survive
-    /// parking. With the no-op cost model projections are all zero and
-    /// this degrades to [`AdmissionPolicy::Fifo`].
+    /// newest in-flight streams while it overshoots. With the no-op cost
+    /// model projections are all zero and this degrades to
+    /// [`AdmissionPolicy::Fifo`].
     OccupancyTarget {
         /// Lower edge of the target band, percent (clamped to 100).
         lo_pct: u8,
@@ -1021,9 +1060,8 @@ pub enum AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// The boxed [`Policy`] implementation for this selector — how the
-    /// [`Scheduler`], the registry scheduler, and the daemon build their
-    /// per-run policy state.
+    /// The boxed [`Policy`] implementation for this selector — how every
+    /// serving core builds its policy state.
     pub fn into_policy(self) -> Box<dyn Policy> {
         match self {
             AdmissionPolicy::Fifo => Box::new(FifoPolicy),
@@ -1088,27 +1126,32 @@ pub(crate) enum Backpressure {
     },
 }
 
-/// An in-flight stream as the [`AdmissionEngine`] needs to see it at a
-/// step boundary.
+/// A queued, in-flight or parked stream as the [`AdmissionEngine`] sees
+/// it. Its submission index doubles as the stream's key in park and
+/// resume decisions.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct InflightRef {
-    /// The caller's handle for the stream (index into its stream storage).
-    pub(crate) stream_key: usize,
+pub(crate) struct StreamRef {
     pub(crate) scheduled: ScheduledRequest,
     pub(crate) submit_index: usize,
-    /// Denoise steps still owed (`steps - cursor`).
+    /// Denoise steps still owed: the whole budget while queued, frozen
+    /// while parked.
     pub(crate) remaining: usize,
 }
 
-/// A preempted stream waiting to resume: its state stays allocated in the
-/// caller's storage, the engine only remembers the handle and the frozen
-/// remainder.
-#[derive(Debug, Clone, Copy)]
-struct ParkedEntry {
-    stream_key: usize,
-    scheduled: ScheduledRequest,
-    submit_index: usize,
-    remaining: usize,
+impl StreamRef {
+    /// This stream as an admission candidate.
+    fn candidate(&self, parked: bool) -> Candidate {
+        let req = &self.scheduled.request;
+        Candidate {
+            id: req.id,
+            tenant: req.tenant,
+            priority: req.priority,
+            arrival_step: self.scheduled.arrival_step,
+            submit_index: self.submit_index,
+            remaining: self.remaining,
+            parked,
+        }
+    }
 }
 
 /// One admission decided by [`AdmissionEngine::boundary`].
@@ -1119,18 +1162,17 @@ pub(crate) enum Admitted {
         scheduled: ScheduledRequest,
         submit_index: usize,
     },
-    /// A parked stream resumes bit-for-bit where it left off.
-    Resumed {
-        stream_key: usize,
-        submit_index: usize,
-    },
+    /// The parked stream with this submission index resumes bit-for-bit
+    /// where it left off.
+    Resumed { submit_index: usize },
 }
 
 /// What one step boundary decided.
 #[derive(Debug, Default)]
 pub(crate) struct BoundaryActions {
-    /// Stream keys to remove from the in-flight set (state kept; the
-    /// engine re-offers them as parked candidates at later boundaries).
+    /// Submission indices of the streams to remove from the in-flight set
+    /// (state kept; the engine re-offers them as parked candidates at
+    /// later boundaries).
     pub(crate) park: Vec<usize>,
     /// Admissions, in admission order.
     pub(crate) admit: Vec<Admitted>,
@@ -1138,8 +1180,7 @@ pub(crate) struct BoundaryActions {
 
 /// The one shared admission path: a bounded pending queue (backpressure on
 /// arrival) feeding a [`Policy`] (admission and preemption at step
-/// boundaries). [`Scheduler`], the registry scheduler, and the daemon all
-/// drive this engine instead of duplicating admission logic.
+/// boundaries), driven by [`ServeCore`].
 #[derive(Debug)]
 pub(crate) struct AdmissionEngine {
     policy: Box<dyn Policy>,
@@ -1148,9 +1189,11 @@ pub(crate) struct AdmissionEngine {
     /// accounting executed rounds ([`NoopCostModel`](crate::cost) unless
     /// configured otherwise).
     cost: Box<dyn CostModel>,
-    /// Arrived, not yet admitted: `(request, submission index)`.
-    queue: Vec<(ScheduledRequest, usize)>,
-    parked: Vec<ParkedEntry>,
+    /// Arrived, not yet admitted.
+    queue: Vec<StreamRef>,
+    /// Preempted streams waiting to resume; their state stays in the
+    /// caller's storage.
+    parked: Vec<StreamRef>,
 }
 
 impl AdmissionEngine {
@@ -1195,74 +1238,62 @@ impl AdmissionEngine {
         scheduled: ScheduledRequest,
         submit_index: usize,
     ) -> Backpressure {
-        let Some(bound) = self.bound else {
-            self.queue.push((scheduled, submit_index));
+        let newcomer = StreamRef {
+            scheduled,
+            submit_index,
+            remaining: scheduled.request.steps,
+        };
+        let full = |b: &QueueBound| self.queue.len() >= b.capacity;
+        let Some(bound) = self.bound.filter(full) else {
+            self.queue.push(newcomer);
             return Backpressure::Accepted;
         };
-        if self.queue.len() < bound.capacity {
-            self.queue.push((scheduled, submit_index));
-            return Backpressure::Accepted;
-        }
-        match bound.policy {
-            BackpressurePolicy::Reject => Backpressure::Rejected(scheduled.request.id),
-            BackpressurePolicy::ShedOldest => {
-                // A zero-capacity queue can only shed the newcomer itself.
-                if bound.capacity == 0 {
-                    return Backpressure::Shed {
-                        id: scheduled.request.id,
-                    };
-                }
-                let victim = self
-                    .queue
+        // The victim's queue position; `None` sheds the newcomer itself.
+        let victim = match bound.policy {
+            BackpressurePolicy::Reject => return Backpressure::Rejected(scheduled.request.id),
+            // Smallest `(arrival_step, submission index)`; a zero-capacity
+            // queue can only shed the newcomer.
+            BackpressurePolicy::ShedOldest => self
+                .queue
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, r)| (r.scheduled.arrival_step, r.submit_index))
+                .map(|(pos, _)| pos),
+            // Largest `(steps, arrival_step, submission index)` loses: the
+            // biggest budget is shed, ties shed the newest.
+            BackpressurePolicy::ShedLargestBudget => {
+                let key = |r: &StreamRef| {
+                    let s = &r.scheduled;
+                    (s.request.steps, s.arrival_step, r.submit_index)
+                };
+                self.queue
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, (s, idx))| (s.arrival_step, *idx))
+                    .max_by_key(|(_, r)| key(r))
+                    .filter(|(_, r)| key(r) > key(&newcomer))
                     .map(|(pos, _)| pos)
-                    .expect("bounded nonzero queue is full, hence nonempty");
-                let (shed, _) = self.queue.remove(victim);
-                self.queue.push((scheduled, submit_index));
-                Backpressure::Shed {
-                    id: shed.request.id,
-                }
             }
-            BackpressurePolicy::ShedLargestBudget => {
-                // Largest `(steps, arrival_step, submission index)` loses:
-                // the biggest budget is shed, ties shed the newest.
-                let mut victim_pos = None; // `None` means the newcomer.
-                let mut victim_key = (
-                    scheduled.request.steps,
-                    scheduled.arrival_step,
-                    submit_index,
-                );
-                for (pos, (s, idx)) in self.queue.iter().enumerate() {
-                    let key = (s.request.steps, s.arrival_step, *idx);
-                    if key > victim_key {
-                        victim_key = key;
-                        victim_pos = Some(pos);
-                    }
-                }
-                match victim_pos {
-                    None => Backpressure::Shed {
-                        id: scheduled.request.id,
-                    },
-                    Some(pos) => {
-                        let (shed, _) = self.queue.remove(pos);
-                        self.queue.push((scheduled, submit_index));
-                        Backpressure::Shed {
-                            id: shed.request.id,
-                        }
-                    }
-                }
+        };
+        let shed = match victim {
+            None => newcomer,
+            Some(pos) => {
+                let shed = self.queue.remove(pos);
+                self.queue.push(newcomer);
+                shed
             }
+        };
+        Backpressure::Shed {
+            id: shed.scheduled.request.id,
         }
     }
 
     /// Runs the policy at one step boundary. `inflight` carries one entry
     /// per in-flight stream, oldest first; the returned actions tell the
-    /// caller which stream keys to park and what to admit, in order.
+    /// caller which streams (by submission index) to park and what to
+    /// admit, in order.
     pub(crate) fn boundary(
         &mut self,
-        inflight: &[InflightRef],
+        inflight: &[StreamRef],
         max_batch: usize,
         clock: usize,
         pending_future: usize,
@@ -1272,42 +1303,13 @@ impl AdmissionEngine {
         }
         // The candidate set: queued arrivals and parked streams, merged in
         // canonical arrival order.
-        enum Source {
-            Queue(usize),
-            Parked(usize),
-        }
-        let mut cands: Vec<(Candidate, Source)> =
-            Vec::with_capacity(self.queue.len() + self.parked.len());
-        for (pos, (s, idx)) in self.queue.iter().enumerate() {
-            cands.push((
-                Candidate {
-                    id: s.request.id,
-                    tenant: s.request.tenant,
-                    priority: s.request.priority,
-                    arrival_step: s.arrival_step,
-                    submit_index: *idx,
-                    remaining: s.request.steps,
-                    parked: false,
-                },
-                Source::Queue(pos),
-            ));
-        }
-        for (pos, p) in self.parked.iter().enumerate() {
-            cands.push((
-                Candidate {
-                    id: p.scheduled.request.id,
-                    tenant: p.scheduled.request.tenant,
-                    priority: p.scheduled.request.priority,
-                    arrival_step: p.scheduled.arrival_step,
-                    submit_index: p.submit_index,
-                    remaining: p.remaining,
-                    parked: true,
-                },
-                Source::Parked(pos),
-            ));
-        }
-        cands.sort_by_key(|(c, _)| (c.arrival_step, c.submit_index));
-        let candidates: Vec<Candidate> = cands.iter().map(|(c, _)| *c).collect();
+        let mut candidates: Vec<Candidate> = self
+            .queue
+            .iter()
+            .map(|r| r.candidate(false))
+            .chain(self.parked.iter().map(|r| r.candidate(true)))
+            .collect();
+        candidates.sort_by_key(|c| (c.arrival_step, c.submit_index));
         let infos: Vec<InflightInfo> = inflight
             .iter()
             .map(|r| InflightInfo {
@@ -1352,64 +1354,43 @@ impl AdmissionEngine {
                 admit.push(a);
             }
         }
-        if admit.is_empty() {
-            park.clear();
-        }
         let allowed = max_batch.saturating_sub(inflight.len() - park.len());
         admit.truncate(allowed);
         if admit.is_empty() {
             park.clear();
         }
 
+        // Admissions come out of the queue and the parked set as they were
+        // before this boundary's parks, so a stream parked here cannot
+        // resume here too.
         let mut actions = BoundaryActions::default();
-        // Record parks first; removal flags only cover the pre-park length
-        // so a stream parked at this boundary cannot resume at it too.
-        let parked_before = self.parked.len();
-        let mut rm_parked = vec![false; parked_before];
-        let mut rm_queue = vec![false; self.queue.len()];
-        for &p in &park {
-            let r = &inflight[p];
-            actions.park.push(r.stream_key);
-            self.parked.push(ParkedEntry {
-                stream_key: r.stream_key,
-                scheduled: r.scheduled,
-                submit_index: r.submit_index,
-                remaining: r.remaining,
+        for &a in &admit {
+            let c = candidates[a];
+            let source = if c.parked {
+                &mut self.parked
+            } else {
+                &mut self.queue
+            };
+            let pos = source
+                .iter()
+                .position(|r| r.submit_index == c.submit_index)
+                .expect("every candidate comes from the queue or the parked set");
+            let r = source.remove(pos);
+            actions.admit.push(if c.parked {
+                Admitted::Resumed {
+                    submit_index: r.submit_index,
+                }
+            } else {
+                Admitted::Fresh {
+                    scheduled: r.scheduled,
+                    submit_index: r.submit_index,
+                }
             });
         }
-        for &a in &admit {
-            match cands[a].1 {
-                Source::Queue(pos) => {
-                    rm_queue[pos] = true;
-                    let (scheduled, submit_index) = self.queue[pos];
-                    actions.admit.push(Admitted::Fresh {
-                        scheduled,
-                        submit_index,
-                    });
-                }
-                Source::Parked(pos) => {
-                    debug_assert!(pos < parked_before);
-                    rm_parked[pos] = true;
-                    let p = &self.parked[pos];
-                    actions.admit.push(Admitted::Resumed {
-                        stream_key: p.stream_key,
-                        submit_index: p.submit_index,
-                    });
-                }
-            }
+        for &p in &park {
+            actions.park.push(inflight[p].submit_index);
+            self.parked.push(inflight[p]);
         }
-        let mut qi = 0usize;
-        self.queue.retain(|_| {
-            let keep = !rm_queue[qi];
-            qi += 1;
-            keep
-        });
-        let mut pi = 0usize;
-        self.parked.retain(|_| {
-            let keep = pi >= parked_before || !rm_parked[pi];
-            pi += 1;
-            keep
-        });
         actions
     }
 }
@@ -1657,6 +1638,323 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+/// A request that finished denoising, as [`ServeCore::step`] hands it to
+/// its driver.
+pub(crate) struct Retired {
+    /// The core's submission index of the request (its n-th `submit`).
+    pub(crate) submit_index: usize,
+    /// The request's timing record.
+    pub(crate) record: RequestStats,
+    /// The generated image and its traces.
+    pub(crate) output: ServedOutput,
+}
+
+/// One model's continuous-batching state, advanced one step boundary at a
+/// time: the [`BatchSampler`], the admission engine, the admitted streams
+/// with their per-request metadata, and the [`ServeStats`]. The offline
+/// front-ends drive it through [`serve_offline`], the daemon one tick at a
+/// time, so parking works the same under every driver.
+pub(crate) struct ServeCore {
+    sampler: BatchSampler,
+    max_batch: usize,
+    engine: AdmissionEngine,
+    /// In-flight streams, oldest admission first.
+    inflight: Vec<Stream>,
+    /// Streams a preempting policy parked, their state frozen.
+    parked: Vec<Stream>,
+    /// Requests submitted so far (the next submission index).
+    submitted: usize,
+    /// Step budgets submitted so far: a bound on the rounds the core runs.
+    budget: usize,
+    stats: ServeStats,
+}
+
+impl ServeCore {
+    /// An idle core whose engine runs `policy` over a pending queue
+    /// bounded by `bound`, priced by `cost`, with at most `max_batch`
+    /// streams in flight.
+    pub(crate) fn new(
+        sampler: BatchSampler,
+        policy: AdmissionPolicy,
+        bound: Option<QueueBound>,
+        cost: CostModelConfig,
+        max_batch: usize,
+    ) -> Self {
+        ServeCore {
+            sampler,
+            max_batch,
+            engine: AdmissionEngine::with_cost(policy, bound, cost, max_batch),
+            inflight: Vec::new(),
+            parked: Vec::new(),
+            submitted: 0,
+            budget: 0,
+            stats: ServeStats::default(),
+        }
+    }
+
+    /// Offers one arrival to the bounded pending queue. Shed and rejected
+    /// ids are recorded in the stats as well as returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EdmError::Config`] for a step budget below 2; the request
+    /// then takes no submission index.
+    pub(crate) fn submit(&mut self, scheduled: ScheduledRequest) -> Result<Backpressure> {
+        validate_request(&scheduled.request)?;
+        let verdict = self.engine.enqueue(scheduled, self.submitted);
+        self.submitted += 1;
+        match verdict {
+            Backpressure::Accepted => {}
+            Backpressure::Rejected(id) => self.stats.rejected_ids.push(id),
+            Backpressure::Shed { id } => self.stats.shed_ids.push(id),
+        }
+        // Rounds never outnumber the submitted step budgets, so reserving
+        // the per-round timelines here keeps rounds free of amortized
+        // growth (the zero-allocation gate measures exactly this).
+        self.budget += scheduled.request.steps;
+        let more = self.budget - self.stats.rounds;
+        let s = &mut self.stats;
+        s.batch_occupancy.reserve(more);
+        s.queue_depth.reserve(more);
+        s.step_latency_ns.reserve(more);
+        s.round_energy_pj.reserve(more);
+        s.round_occupancy.reserve(more);
+        Ok(verdict)
+    }
+
+    /// One step boundary at `clock`, then — when anything is in flight —
+    /// one batched Heun round, its accounting, and the retirement of the
+    /// streams that exhausted their budget; each retiree goes to
+    /// `on_retire`, completed at `clock + 1`. `pending_future` counts the
+    /// requests known to arrive after `clock` (see
+    /// [`AdmitCtx::pending_future`]). Returns whether a round ran.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model errors from the round. The in-flight streams stay
+    /// in place, with no round recorded, for the driver to drop (see
+    /// [`ServeCore::fail_inflight`]).
+    pub(crate) fn step(
+        &mut self,
+        clock: usize,
+        pending_future: usize,
+        net: &mut UNet,
+        assignment: Option<&PrecisionAssignment>,
+        packs: &PackCache,
+        mut on_retire: impl FnMut(Retired),
+    ) -> Result<bool> {
+        if self.engine.has_work() {
+            self.admit(clock, pending_future, net.config());
+        }
+        if self.inflight.is_empty() {
+            return Ok(false);
+        }
+        let t0 = Instant::now();
+        self.sampler
+            .round(net, &mut self.inflight, assignment, packs)?;
+        let batch = self.inflight.len();
+        let s = &mut self.stats;
+        s.step_latency_ns.push(t0.elapsed().as_nanos() as u64);
+        s.batch_occupancy.push(batch);
+        s.queue_depth.push(self.engine.queue_len());
+        let (round_pj, round_occ) = self.engine.round_accounting(batch);
+        s.round_energy_pj.push(round_pj);
+        s.round_occupancy.push(round_occ);
+        s.rounds += 1;
+        // Retire exhausted streams; the packed batch shrinks here and
+        // refills at the next boundary's admission.
+        for stream in self.inflight.extract_if(.., |s| s.remaining() == 0) {
+            let record = stream.record(clock + 1);
+            self.stats.requests.push(record);
+            on_retire(Retired {
+                submit_index: stream.submit_index,
+                record,
+                output: stream.into_output(),
+            });
+        }
+        Ok(true)
+    }
+
+    /// Runs the admission policy at one boundary: parks the in-flight
+    /// streams it preempts and admits queued or parked work.
+    fn admit(&mut self, clock: usize, pending_future: usize, mcfg: &UNetConfig) {
+        let inflight: Vec<StreamRef> = self
+            .inflight
+            .iter()
+            .map(|s| StreamRef {
+                scheduled: s.scheduled,
+                submit_index: s.submit_index,
+                remaining: s.remaining(),
+            })
+            .collect();
+        let actions = self
+            .engine
+            .boundary(&inflight, self.max_batch, clock, pending_future);
+        for key in actions.park {
+            let mut stream = take_stream(&mut self.inflight, key);
+            stream.parked_at = clock;
+            self.parked.push(stream);
+            self.stats.preemptions += 1;
+        }
+        for admitted in actions.admit {
+            let stream = match admitted {
+                Admitted::Fresh {
+                    scheduled,
+                    submit_index,
+                } => self
+                    .sampler
+                    .make_stream(mcfg, scheduled, submit_index, clock),
+                Admitted::Resumed { submit_index } => {
+                    let mut stream = take_stream(&mut self.parked, submit_index);
+                    stream.parked_steps += clock - stream.parked_at;
+                    stream
+                }
+            };
+            self.inflight.push(stream);
+        }
+    }
+
+    /// No request is queued, parked or in flight.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.inflight.is_empty() && !self.engine.has_work()
+    }
+
+    /// Requests waiting in the pending queue.
+    pub(crate) fn queue_len(&self) -> usize {
+        self.engine.queue_len()
+    }
+
+    /// Requests accepted and not yet retired: queued, parked or in flight.
+    pub(crate) fn active(&self) -> usize {
+        self.engine.queue_len() + self.parked.len() + self.inflight.len()
+    }
+
+    /// Ids of the in-flight requests, oldest admission first.
+    pub(crate) fn inflight_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.inflight.iter().map(|s| s.scheduled.request.id)
+    }
+
+    /// Drops every in-flight stream after a failed round and reports each
+    /// dropped id; queued and parked work stays.
+    pub(crate) fn fail_inflight(&mut self, mut on_fail: impl FnMut(u64)) {
+        for stream in self.inflight.drain(..) {
+            on_fail(stream.scheduled.request.id);
+        }
+    }
+
+    /// The stats recorded so far; request records are appended at
+    /// retirement.
+    pub(crate) fn stats(&self) -> &ServeStats {
+        &self.stats
+    }
+
+    /// Consumes the core into its stats.
+    pub(crate) fn into_stats(self) -> ServeStats {
+        self.stats
+    }
+}
+
+/// Removes the stream keyed `submit_index` from `streams`, keeping the
+/// order of the rest. The engine only parks keys it was shown in flight and
+/// only resumes keys it parked, so a miss is a broken invariant.
+fn take_stream(streams: &mut Vec<Stream>, submit_index: usize) -> Stream {
+    let pos = streams
+        .iter()
+        .position(|s| s.submit_index == submit_index)
+        .expect("admission engine and stream storage agree on stream keys");
+    streams.remove(pos)
+}
+
+/// The model side of one [`ServeCore::step`]: the network, its precision
+/// assignment, and its pack cache.
+pub(crate) type ModelParts<'a> = (&'a mut UNet, Option<&'a PrecisionAssignment>, &'a PackCache);
+
+/// Serves `requests` — `(core, request)` pairs; core `c` rounds with
+/// `models[c]` — on one shared virtual clock and returns per request its
+/// [`Retired`] record (`None` if shed or rejected) plus the final clock.
+/// At every boundary each core takes its arrivals, in canonical
+/// `(arrival_step, submission)` order, and steps once.
+///
+/// # Errors
+///
+/// Returns [`EdmError::Config`] for duplicate ids, a step budget below 2
+/// (both before any round runs), or queued work that no policy admits
+/// with nothing in flight and nothing arriving; propagates model errors.
+pub(crate) fn serve_offline(
+    cores: &mut [ServeCore],
+    models: &mut [ModelParts<'_>],
+    requests: &[(usize, ScheduledRequest)],
+) -> Result<(Vec<Option<Retired>>, usize)> {
+    validate_unique_ids(requests.iter().map(|(_, r)| r.request.id))?;
+    for (_, r) in requests {
+        // A malformed request fails the submission, not the batch
+        // mid-serve.
+        validate_request(&r.request)?;
+    }
+    // Each core numbers its submissions in the order it receives them, so
+    // `order[c][k]` is the request behind core `c`'s submission index `k`.
+    let mut order: Vec<Vec<usize>> = vec![Vec::new(); cores.len()];
+    for (i, (c, _)) in requests.iter().enumerate() {
+        order[*c].push(i);
+    }
+    for o in &mut order {
+        o.sort_by_key(|&i| (requests[i].1.arrival_step, i));
+    }
+    let next_arrival = |submitted: &[usize]| {
+        order
+            .iter()
+            .zip(submitted)
+            .filter_map(|(o, &k)| o.get(k))
+            .map(|&i| requests[i].1.arrival_step)
+            .min()
+    };
+    let mut submitted = vec![0usize; cores.len()];
+    let mut retired: Vec<Option<Retired>> = (0..requests.len()).map(|_| None).collect();
+    let mut clock = 0usize;
+    // The arena scope turns every transient buffer the rounds take —
+    // activation tensors, im2col scratch, packed states — into pool hits
+    // after the first round: the steady state allocates nothing.
+    arena::scope(|| -> Result<()> {
+        loop {
+            let mut ran = false;
+            for (c, core) in cores.iter_mut().enumerate() {
+                while let Some(&i) = order[c].get(submitted[c]) {
+                    if requests[i].1.arrival_step > clock {
+                        break;
+                    }
+                    core.submit(requests[i].1)?;
+                    submitted[c] += 1;
+                }
+                let (net, assignment, packs) = &mut models[c];
+                let pending_future = order[c].len() - submitted[c];
+                ran |= core.step(clock, pending_future, net, *assignment, packs, |done| {
+                    let i = order[c][done.submit_index];
+                    retired[i] = Some(done);
+                })?;
+            }
+            if ran {
+                clock += 1;
+                continue;
+            }
+            // Nothing in flight anywhere: an idle clock (or a waiting gang)
+            // jumps to the next arrival; work no policy admits with nothing
+            // else coming would spin forever, so surface the stall instead.
+            match next_arrival(&submitted) {
+                Some(next) => clock = next,
+                None if cores.iter().all(ServeCore::is_idle) => return Ok(()),
+                None => {
+                    return Err(EdmError::Config {
+                        reason: "admission stalled: queued work with no in-flight \
+                                 streams and no future arrivals"
+                            .into(),
+                    })
+                }
+            }
+        }
+    })?;
+    Ok((retired, clock))
+}
+
 /// Continuous-batching front-end over [`BatchSampler`].
 ///
 /// See the module docs for the scheduling model; [`Scheduler::run`] is the
@@ -1769,231 +2067,46 @@ impl Scheduler {
                 reason: "scheduler max_batch must be at least 1".into(),
             });
         }
-        validate_unique_ids(requests.iter().map(|r| r.request.id))?;
-        for r in requests {
-            // Validate every budget up front: a malformed request should
-            // fail the submission, not abort the batch mid-serve.
-            if r.request.steps < 2 {
-                return Err(EdmError::Config {
-                    reason: format!(
-                        "request {} has step budget {}; at least 2 required",
-                        r.request.id, r.request.steps
-                    ),
-                });
-            }
-        }
-        let mcfg = *net.config();
-        let n = requests.len();
-        let mut req_stats: Vec<RequestStats> = requests
-            .iter()
-            .map(|r| RequestStats {
-                id: r.request.id,
-                tenant: r.request.tenant,
-                arrival_step: r.arrival_step,
-                admitted_step: 0,
-                completed_step: 0,
-                queue_delay: 0,
-                steps_in_batch: 0,
-                parked_steps: 0,
-                latency: 0,
-            })
-            .collect();
-        let mut stats = ServeStats::default();
-
-        // Streams are created lazily at admission, in admission order;
-        // `owner[k]` maps stream `k` back to its submission index. Retired
-        // and parked streams stay in place (they hold final or frozen
-        // state). Submission indices not yet visible to the engine sit in
-        // `future`, sorted in canonical `(arrival_step, submission)` order.
-        let mut future: Vec<usize> = (0..n).collect();
-        future.sort_by_key(|&i| (requests[i].arrival_step, i));
-        let mut engine =
-            AdmissionEngine::with_cost(self.policy, self.queue_bound, self.cost, self.max_batch);
-        let mut streams: Vec<Stream> = Vec::with_capacity(n);
-        let mut owner: Vec<usize> = Vec::with_capacity(n);
-        let mut inflight: Vec<usize> = Vec::new();
-        let mut parked_at: Vec<usize> = vec![0; n];
-        let mut completed: Vec<bool> = vec![false; n];
-        let mut clock = 0usize;
-
-        arena::scope(|| {
-            while !future.is_empty() || engine.has_work() || !inflight.is_empty() {
-                if inflight.is_empty() && !engine.has_work() {
-                    // Idle: jump to the earliest future arrival.
-                    let earliest = future
-                        .iter()
-                        .map(|&i| requests[i].arrival_step)
-                        .min()
-                        .expect("loop invariant: some work remains");
-                    clock = clock.max(earliest);
-                }
-                // Arrivals at or before this boundary enter the bounded
-                // pending queue, in canonical order, one backpressure
-                // verdict each.
-                while let Some(&i) = future.first() {
-                    if requests[i].arrival_step > clock {
-                        break;
-                    }
-                    future.remove(0);
-                    match engine.enqueue(requests[i], i) {
-                        Backpressure::Accepted => {}
-                        Backpressure::Rejected(id) => stats.rejected_ids.push(id),
-                        Backpressure::Shed { id } => stats.shed_ids.push(id),
-                    }
-                }
-                // Step-boundary admission through the shared policy path.
-                let inflight_refs: Vec<InflightRef> = inflight
-                    .iter()
-                    .map(|&k| InflightRef {
-                        stream_key: k,
-                        scheduled: requests[owner[k]],
-                        submit_index: owner[k],
-                        remaining: streams[k].request.steps - streams[k].cursor,
-                    })
-                    .collect();
-                let actions = engine.boundary(&inflight_refs, self.max_batch, clock, future.len());
-                for &k in &actions.park {
-                    inflight.retain(|&key| key != k);
-                    parked_at[owner[k]] = clock;
-                    stats.preemptions += 1;
-                }
-                for admitted in &actions.admit {
-                    match *admitted {
-                        Admitted::Fresh {
-                            scheduled,
-                            submit_index,
-                        } => {
-                            let stream = self.sampler.make_stream(&mcfg, &scheduled.request)?;
-                            owner.push(submit_index);
-                            inflight.push(streams.len());
-                            streams.push(stream);
-                            req_stats[submit_index].admitted_step = clock;
-                            req_stats[submit_index].queue_delay = clock - scheduled.arrival_step;
-                        }
-                        Admitted::Resumed {
-                            stream_key,
-                            submit_index,
-                        } => {
-                            inflight.push(stream_key);
-                            req_stats[submit_index].parked_steps += clock - parked_at[submit_index];
-                        }
-                    }
-                }
-                if inflight.is_empty() {
-                    if let Some(next) = future
-                        .iter()
-                        .map(|&i| requests[i].arrival_step)
-                        .filter(|&a| a > clock)
-                        .min()
-                    {
-                        // A waiting gang: advance to the next arrival.
-                        clock = next;
-                        continue;
-                    }
-                    if engine.has_work() {
-                        // Queued or parked work the policy refuses to admit
-                        // with nothing in flight and nothing else coming
-                        // would spin forever; surface the stall instead.
-                        return Err(EdmError::Config {
-                            reason: "admission stalled: queued work with no in-flight \
-                                     streams and no future arrivals"
-                                .into(),
-                        });
-                    }
-                    continue;
-                }
-                // One batched Heun round over the in-flight streams.
-                let t0 = Instant::now();
-                self.sampler
-                    .round(net, &mut streams, &inflight, assignment, packs)?;
-                stats.step_latency_ns.push(t0.elapsed().as_nanos() as u64);
-                stats.batch_occupancy.push(inflight.len());
-                stats.queue_depth.push(engine.queue_len());
-                let (round_pj, round_occ) = engine.round_accounting(inflight.len());
-                stats.round_energy_pj.push(round_pj);
-                stats.round_occupancy.push(round_occ);
-                stats.rounds += 1;
-                clock += 1;
-                // Retire exhausted streams; the packed batch shrinks here
-                // and refills at the next boundary's admission.
-                inflight.retain(|&k| {
-                    let done = streams[k].cursor >= streams[k].request.steps;
-                    if done {
-                        let i = owner[k];
-                        completed[i] = true;
-                        req_stats[i].completed_step = clock;
-                        req_stats[i].steps_in_batch =
-                            clock - req_stats[i].admitted_step - req_stats[i].parked_steps;
-                        req_stats[i].latency = clock - requests[i].arrival_step;
-                    }
-                    !done
-                });
-            }
-            Ok::<(), crate::error::EdmError>(())
-        })?;
-        stats.final_step = clock;
-        stats.requests = (0..n)
-            .filter(|&i| completed[i])
-            .map(|i| req_stats[i])
-            .collect();
-
-        // Outputs back in submission order. Shed and rejected requests
-        // have no output; their ids live in `shed_ids` / `rejected_ids`.
-        let mut slots: Vec<Option<ServedOutput>> = (0..n).map(|_| None).collect();
-        for (k, stream) in streams.into_iter().enumerate() {
-            if completed[owner[k]] {
-                slots[owner[k]] = Some(stream.into_output());
-            }
-        }
-        let outputs = slots.into_iter().flatten().collect();
+        let mut core = [ServeCore::new(
+            self.sampler,
+            self.policy,
+            self.queue_bound,
+            self.cost,
+            self.max_batch,
+        )];
+        let requests: Vec<_> = requests.iter().map(|&r| (0, r)).collect();
+        let (retired, clock) =
+            serve_offline(&mut core, &mut [(net, assignment, packs)], &requests)?;
+        let [core] = core;
+        let (records, outputs) = retired
+            .into_iter()
+            .flatten()
+            .map(|r| (r.record, r.output))
+            .unzip();
+        let stats = ServeStats {
+            final_step: clock,
+            requests: records,
+            ..core.into_stats()
+        };
         Ok((outputs, stats))
     }
 }
 
-/// Concatenates the active streams' states along the batch axis.
-fn pack_states(streams: &[Stream], active: &[usize], chw: usize) -> Result<Tensor> {
-    let dims = streams[active[0]].x.dims();
-    let mut packed = arena::take::<f32>(active.len() * chw);
-    for &i in active {
-        packed.extend_from_slice(streams[i].x.as_slice());
-    }
-    Ok(Tensor::from_vec(
-        packed,
-        [active.len(), dims[1], dims[2], dims[3]],
-    )?)
-}
-
 /// Splits a packed activation event per stream and appends one trace step
-/// to each active stream's `(block, stage)` trace.
-fn record_event(streams: &mut [Stream], active: &[usize], ev: &ActEvent<'_>) {
+/// to each stream's `(block, stage)` trace.
+fn record_event(streams: &mut [Stream], ev: &ActEvent<'_>) {
     let c = ev.tensor.dims()[1];
-    for (slot, &i) in active.iter().enumerate() {
+    for (slot, st) in streams.iter_mut().enumerate() {
         let sample = ev
             .tensor
             .batch_sample(slot)
             .expect("observed activation is [A, C, H, W]");
         let sparsity = channel_sparsity(&sample);
-        streams[i]
-            .traces
+        st.traces
             .entry((ev.block_index, ev.stage))
             .or_insert_with(|| TemporalTrace::new(c))
             .push_step(sparsity);
     }
-}
-
-/// Convenience wrapper: serves `requests` on a fresh [`BatchSampler`] and
-/// returns the outputs in request order.
-///
-/// # Errors
-///
-/// Propagates [`BatchSampler::run`] errors.
-pub fn serve_batch(
-    net: &mut UNet,
-    den: &Denoiser,
-    requests: &[ServeRequest],
-    assignment: Option<&PrecisionAssignment>,
-) -> Result<Vec<ServedOutput>> {
-    BatchSampler::new(*den).run(net, requests, assignment)
 }
 
 #[cfg(test)]
@@ -2075,7 +2188,9 @@ mod tests {
             ServeRequest::new(1, 5).seed(12),
             ServeRequest::new(2, 3).seed(13),
         ];
-        let served = serve_batch(&mut net, &den, &requests, None).unwrap();
+        let served = BatchSampler::new(den)
+            .run(&mut net, &requests, None)
+            .unwrap();
         assert_eq!(served.len(), 3);
         for (req, out) in requests.iter().zip(&served) {
             assert_eq!(req.id, out.id);
@@ -2105,7 +2220,9 @@ mod tests {
         for mode in [ExecMode::FakeQuant, ExecMode::NativeInt] {
             let asg = base.clone().with_mode(mode);
             let requests = [ServeRequest::new(7, 2), ServeRequest::new(8, 4)];
-            let served = serve_batch(&mut net, &den, &requests, Some(&asg)).unwrap();
+            let served = BatchSampler::new(den)
+                .run(&mut net, &requests, Some(&asg))
+                .unwrap();
             for (req, out) in requests.iter().zip(&served) {
                 let mut rng = Rng::seed_from(req.seed);
                 let single = sample(
@@ -2131,7 +2248,9 @@ mod tests {
     fn per_stream_traces_cover_every_step_and_yield_masks() {
         let (mut net, den) = fixture();
         let requests = [ServeRequest::new(1, 4), ServeRequest::new(2, 2)];
-        let served = serve_batch(&mut net, &den, &requests, None).unwrap();
+        let served = BatchSampler::new(den)
+            .run(&mut net, &requests, None)
+            .unwrap();
         for (req, out) in requests.iter().zip(&served) {
             let keys = out.traced_keys();
             assert!(!keys.is_empty(), "request {} recorded no traces", req.id);
@@ -2168,15 +2287,22 @@ mod tests {
     #[test]
     fn zero_step_requests_are_rejected_and_empty_batches_are_fine() {
         let (mut net, den) = fixture();
-        assert!(serve_batch(&mut net, &den, &[ServeRequest::new(0, 0)], None).is_err());
-        assert!(serve_batch(&mut net, &den, &[], None).unwrap().is_empty());
+        assert!(BatchSampler::new(den)
+            .run(&mut net, &[ServeRequest::new(0, 0)], None)
+            .is_err());
+        assert!(BatchSampler::new(den)
+            .run(&mut net, &[], None)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn duplicate_request_ids_are_rejected_at_entry() {
         let (mut net, den) = fixture();
         let dupes = [ServeRequest::new(3, 2), ServeRequest::new(3, 4)];
-        let err = serve_batch(&mut net, &den, &dupes, None).unwrap_err();
+        let err = BatchSampler::new(den)
+            .run(&mut net, &dupes, None)
+            .unwrap_err();
         assert!(
             matches!(&err, EdmError::Config { reason } if reason.contains("duplicate")
                 && reason.contains('3')),
@@ -2489,11 +2615,11 @@ mod tests {
     #[test]
     fn scheduler_with_simultaneous_arrivals_matches_batch_sampler() {
         // With everyone present at step 0 and capacity for all, the
-        // scheduler is exactly `serve_batch` (same rounds, same bits,
+        // scheduler is exactly `BatchSampler::run` (same rounds, same bits,
         // traces included).
         let (mut net, den) = fixture();
         let plain = [ServeRequest::new(4, 3), ServeRequest::new(5, 2)];
-        let batch = serve_batch(&mut net, &den, &plain, None).unwrap();
+        let batch = BatchSampler::new(den).run(&mut net, &plain, None).unwrap();
         let scheduled: Vec<ScheduledRequest> =
             plain.iter().map(|&r| ScheduledRequest::new(r, 0)).collect();
         let (served, stats) = Scheduler::new(den, 2)
@@ -2595,6 +2721,93 @@ mod tests {
         }
         let (_, stats2) = sched.run(&mut net, &requests, None).unwrap();
         assert_eq!(stats.requests, stats2.requests);
+    }
+
+    #[test]
+    fn serve_core_parks_and_resumes_when_stepped_one_arrival_per_tick() {
+        use crate::cost::AccelCostModel;
+        use sqdm_accel::PowerProfile;
+
+        // The daemon's driving pattern: one submission per boundary, no
+        // knowledge of future arrivals, the clock advancing every tick.
+        // Long budgets arrive first, so later short ones preempt them.
+        let (mut net, den) = fixture();
+        let packs = PackCache::new();
+        let requests: Vec<ServeRequest> = [6, 5, 2, 3, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &steps)| ServeRequest::new(i as u64, steps).seed(40 + i as u64))
+            .collect();
+        let solo: Vec<Tensor> = requests
+            .iter()
+            .map(|r| {
+                let mut rng = Rng::seed_from(r.seed);
+                sample(
+                    &mut net,
+                    &den,
+                    1,
+                    SamplerConfig { steps: r.steps },
+                    None,
+                    &mut rng,
+                )
+                .unwrap()
+            })
+            .collect();
+        let (max_batch, profile) = (2, PowerProfile::Balanced);
+        // A band one stream fits and two overshoot, with its low edge above
+        // one stream: a second stream is admitted, then parked at the next
+        // boundary to make room for the newest arrival.
+        let share = AccelCostModel::new(profile, max_batch)
+            .stream_cost(1)
+            .occupancy_share;
+        let pct = (share * 150.0).round().min(100.0) as u8;
+        for policy in [
+            AdmissionPolicy::Preempt,
+            AdmissionPolicy::OccupancyTarget {
+                lo_pct: pct,
+                hi_pct: pct,
+            },
+        ] {
+            let mut core = ServeCore::new(
+                BatchSampler::new(den),
+                policy,
+                None,
+                CostModelConfig::Accel { profile },
+                max_batch,
+            );
+            let mut served = Vec::new();
+            let mut clock = 0;
+            while clock < requests.len() || !core.is_idle() {
+                if let Some(&r) = requests.get(clock) {
+                    core.submit(ScheduledRequest::new(r, clock)).unwrap();
+                }
+                core.step(clock, 0, &mut net, None, &packs, |done| served.push(done))
+                    .unwrap();
+                clock += 1;
+            }
+            let stats = core.into_stats();
+            assert!(stats.preemptions > 0, "{policy:?} never parked");
+            assert_eq!(served.len(), requests.len(), "{policy:?}");
+            for done in &served {
+                let (r, i) = (done.record, done.submit_index);
+                assert_eq!(r.id, requests[i].id);
+                assert_eq!(
+                    r.latency,
+                    r.queue_delay + r.steps_in_batch + r.parked_steps,
+                    "{policy:?} request {}",
+                    r.id
+                );
+                assert_eq!(r.steps_in_batch, requests[i].steps);
+                assert_eq!(
+                    bits(&done.output.image),
+                    bits(&solo[i]),
+                    "{policy:?} request {}",
+                    r.id
+                );
+            }
+            let records: Vec<RequestStats> = served.iter().map(|d| d.record).collect();
+            assert_eq!(stats.requests, records);
+        }
     }
 
     #[test]

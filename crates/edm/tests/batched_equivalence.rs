@@ -10,13 +10,14 @@
 //! `forward` calls.
 
 use proptest::prelude::*;
+use sqdm_accel::PowerProfile;
 use sqdm_edm::serve::{
-    serve_batch, AdmissionPolicy, BackpressurePolicy, QueueBound, ScheduledRequest, Scheduler,
+    AdmissionPolicy, BackpressurePolicy, BatchSampler, QueueBound, ScheduledRequest, Scheduler,
     ServeRequest,
 };
 use sqdm_edm::{
-    block_ids, sample, CostModelConfig, Denoiser, EdmSchedule, ModelRegistry, RegistryRequest,
-    RegistryScheduler, RunConfig, SamplerConfig, UNet, UNetConfig,
+    block_ids, sample, AccelCostModel, CostModel, CostModelConfig, Denoiser, EdmSchedule,
+    ModelRegistry, RegistryRequest, RegistryScheduler, RunConfig, SamplerConfig, UNet, UNetConfig,
 };
 use sqdm_quant::{BlockPrecision, ExecMode, PrecisionAssignment, QuantFormat};
 use sqdm_tensor::parallel::with_threads;
@@ -121,7 +122,7 @@ proptest! {
             let asg = int8_assignment(mode);
             for t in THREADS {
                 let served = with_threads(t, || {
-                    serve_batch(&mut net, &den, &requests, Some(&asg)).unwrap()
+                    BatchSampler::new(den).run(&mut net, &requests, Some(&asg)).unwrap()
                 });
                 for (req, out) in requests.iter().zip(&served) {
                     let single = with_threads(t, || {
@@ -594,6 +595,85 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+    /// `Scheduler` and a one-model `RegistryScheduler` drive the same
+    /// serving core: under every admission policy, with the accelerator
+    /// cost model, over the same seeded arrivals they serve bitwise-equal
+    /// images and record equal `ServeStats`, wall-clock round times aside.
+    #[test]
+    fn scheduler_and_one_model_registry_agree(
+        (net_seed, max_batch, spec, extra) in (
+            0u64..1 << 16,
+            1usize..4,
+            proptest::collection::vec((0u32..3, 0u32..3, 0usize..6, 2usize..6), 5),
+            0u64..1 << 16,
+        )
+    ) {
+        let den = Denoiser::new(EdmSchedule::default());
+        let requests: Vec<ScheduledRequest> = spec
+            .iter()
+            .enumerate()
+            .map(|(i, &(tenant, priority, arrival, steps))| {
+                ScheduledRequest::new(
+                    ServeRequest::new(i as u64, steps)
+                        .seed(extra.wrapping_add(i as u64 + 1))
+                        .tenant(tenant)
+                        .priority(priority),
+                    arrival,
+                )
+            })
+            .collect();
+        let addressed: Vec<RegistryRequest> =
+            requests.iter().map(|&r| RegistryRequest::new(0, r)).collect();
+        let profile = PowerProfile::Balanced;
+        let cost = CostModelConfig::Accel { profile };
+        let unit = AccelCostModel::new(profile, max_batch).stream_cost(1);
+        let asg = int8_assignment(ExecMode::NativeInt);
+        let band = (unit.occupancy_share * 150.0).round().min(100.0) as u8;
+        for policy in [
+            AdmissionPolicy::Fifo,
+            AdmissionPolicy::ShortestBudgetFirst,
+            AdmissionPolicy::Gang,
+            AdmissionPolicy::FairShare,
+            AdmissionPolicy::Priority,
+            AdmissionPolicy::Preempt,
+            AdmissionPolicy::EnergyCapped {
+                budget_pj: (unit.round_energy_pj * 6.0) as u64,
+                window: 3,
+            },
+            AdmissionPolicy::OccupancyTarget { lo_pct: band, hi_pct: band },
+        ] {
+            let net = || UNet::new(UNetConfig::micro(), &mut Rng::seed_from(net_seed)).unwrap();
+            let (sched_out, sched_stats) = Scheduler::new(den, max_batch)
+                .with_policy(policy)
+                .with_cost_model(cost)
+                .with_traces(false)
+                .run(&mut net(), &requests, Some(&asg))
+                .unwrap();
+            let mut registry = ModelRegistry::new();
+            registry.register("only", net(), Some(asg.clone()), den);
+            let (reg_out, reg_stats) = RegistryScheduler::new(max_batch)
+                .with_policy(policy)
+                .with_cost_model(cost)
+                .run(&mut registry, &addressed)
+                .unwrap();
+            prop_assert_eq!(sched_out.len(), requests.len());
+            prop_assert_eq!(reg_out.len(), requests.len());
+            for (a, b) in sched_out.iter().zip(&reg_out) {
+                prop_assert_eq!(a.id, b.id);
+                prop_assert_eq!(bits(&a.image), bits(&b.image), "{:?} request {}", policy, a.id);
+            }
+            let mut reg = reg_stats.per_model[0].clone();
+            prop_assert_eq!(reg.step_latency_ns.len(), sched_stats.step_latency_ns.len());
+            reg.step_latency_ns.clone_from(&sched_stats.step_latency_ns);
+            prop_assert_eq!(&reg, &sched_stats, "{:?}", policy);
+            prop_assert_eq!(reg_stats.rounds, sched_stats.rounds);
+            prop_assert_eq!(reg_stats.final_step, sched_stats.final_step);
+        }
+    }
+}
+
 /// The full-precision (no assignment) path holds the same contract — and
 /// the batched flag is a no-op there, so this also pins that plain f32
 /// packing is per-sample transparent.
@@ -624,7 +704,11 @@ fn full_precision_serving_is_bitwise_transparent_across_threads() {
             .collect::<Vec<_>>()
     });
     for t in THREADS {
-        let served = with_threads(t, || serve_batch(&mut net, &den, &requests, None).unwrap());
+        let served = with_threads(t, || {
+            BatchSampler::new(den)
+                .run(&mut net, &requests, None)
+                .unwrap()
+        });
         for (single, out) in reference.iter().zip(&served) {
             assert_eq!(bits(single), bits(&out.image), "{t} threads");
         }
