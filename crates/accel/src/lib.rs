@@ -51,7 +51,7 @@ pub use pe::{DensePe, SparsePe};
 pub use power::{PowerProfile, ThrottleCurve, ThrottlePoint};
 pub use sparse_format::SparseChannel;
 pub use system::{
-    Accelerator, AcceleratorConfig, EnergyBreakdown, LayerQuant, LayerStats, RoundStats,
-    RunLedger, RunStats,
+    Accelerator, AcceleratorConfig, EnergyBreakdown, LayerQuant, LayerStats, RoundStats, RunLedger,
+    RunStats,
 };
 pub use workload::ConvWorkload;

@@ -92,7 +92,11 @@ impl ThrottleCurve {
     /// surrounding knots and clamped to the end points outside the range.
     /// A non-finite query clamps to the low end.
     pub fn freq_scale_at(&self, occupancy: f64) -> f64 {
-        let occ = if occupancy.is_finite() { occupancy } else { 0.0 };
+        let occ = if occupancy.is_finite() {
+            occupancy
+        } else {
+            0.0
+        };
         let first = self.points[0];
         let last = self.points[self.points.len() - 1];
         if occ <= first.occupancy {

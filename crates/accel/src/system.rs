@@ -804,7 +804,11 @@ mod tests {
         assert!(ledger.peak_occupancy() >= ledger.mean_occupancy());
         assert_eq!(
             ledger.peak_occupancy(),
-            ledger.rounds.iter().map(|r| r.occupancy).fold(0.0, f64::max)
+            ledger
+                .rounds
+                .iter()
+                .map(|r| r.occupancy)
+                .fold(0.0, f64::max)
         );
     }
 

@@ -381,10 +381,7 @@ pub mod perf_gate {
                         ));
                     }
                 }
-                _ => errs.push(format!(
-                    "{} row lacks mean/peak_occupancy",
-                    row.bench
-                )),
+                _ => errs.push(format!("{} row lacks mean/peak_occupancy", row.bench)),
             }
         }
         // Zero-allocation steady state: the row must have been produced
@@ -632,9 +629,8 @@ mod tests {
             "{\"bench\": \"serve_energy_bursty\", \"shape\": \"12req\", \"ns_per_iter\": 10.0}\n";
         let errs = perf_gate::violations(bare);
         assert!(
-            errs.iter().any(|e| {
-                e.contains("serve_energy_bursty row lacks energy_per_image_pj")
-            }),
+            errs.iter()
+                .any(|e| { e.contains("serve_energy_bursty row lacks energy_per_image_pj") }),
             "{errs:?}"
         );
         assert!(

@@ -217,7 +217,8 @@ fn main() {
                     let pct =
                         |v: Option<usize>| v.map(|p| p.to_string()).unwrap_or_else(|| "-".into());
                     let num = |v: Option<f64>, digits: usize| {
-                        v.map(|x| format!("{x:.digits$}")).unwrap_or_else(|| "-".into())
+                        v.map(|x| format!("{x:.digits$}"))
+                            .unwrap_or_else(|| "-".into())
                     };
                     println!(
                         "model {} ({}, {}): {} completed, {} rounds, latency p50/p95/p99 {}/{}/{} steps, \

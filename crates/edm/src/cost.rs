@@ -203,22 +203,17 @@ impl CostModel for AccelCostModel {
 /// `RegistryScheduler`, and the daemon config (all `Copy`/cloneable
 /// surfaces that cannot own a boxed trait object). The admission engine
 /// expands it into the boxed [`CostModel`] that lives for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CostModelConfig {
     /// No cost model: zero estimates, zero accounting. The default;
     /// preserves every pre-existing policy decision bitwise.
+    #[default]
     Noop,
     /// The accelerator-backed model under a DVFS throttle profile.
     Accel {
         /// Which built-in throttle curve governs the simulated DVFS.
         profile: PowerProfile,
     },
-}
-
-impl Default for CostModelConfig {
-    fn default() -> Self {
-        CostModelConfig::Noop
-    }
 }
 
 impl CostModelConfig {

@@ -947,11 +947,7 @@ impl OccupancyTargetPolicy {
 impl sealed::Sealed for OccupancyTargetPolicy {}
 impl Policy for OccupancyTargetPolicy {
     fn admit(&mut self, ctx: &AdmitCtx<'_>) -> AdmitDecision {
-        let mut occupied: f64 = ctx
-            .inflight_costs
-            .iter()
-            .map(|e| e.occupancy_share)
-            .sum();
+        let mut occupied: f64 = ctx.inflight_costs.iter().map(|e| e.occupancy_share).sum();
         let mut decision = AdmitDecision::default();
         // Over the band on in-flight work alone: shed load by parking the
         // newest streams until back inside, always keeping one running.
@@ -2962,7 +2958,12 @@ mod tests {
                 .unwrap();
             assert_eq!(stats.requests, fifo_stats.requests, "{policy:?}");
             for (a, b) in out.iter().zip(&fifo_out) {
-                assert_eq!(bits(&a.image), bits(&b.image), "{policy:?} request {}", a.id);
+                assert_eq!(
+                    bits(&a.image),
+                    bits(&b.image),
+                    "{policy:?} request {}",
+                    a.id
+                );
             }
             // And the accounting stays all-zero under the no-op model.
             assert_eq!(stats.total_energy_pj(), 0.0);
@@ -3093,10 +3094,7 @@ mod tests {
         assert_eq!(stats.round_energy_pj.len(), stats.rounds);
         assert_eq!(stats.round_occupancy.len(), stats.rounds);
         assert!(stats.round_energy_pj.iter().all(|&e| e > 0.0));
-        assert!(stats
-            .round_occupancy
-            .iter()
-            .all(|&o| o > 0.0 && o <= 1.0));
+        assert!(stats.round_occupancy.iter().all(|&o| o > 0.0 && o <= 1.0));
         assert!(stats.energy_per_image_pj() > 0.0);
         assert!(stats.peak_occupancy() >= stats.mean_occupancy());
     }

@@ -267,7 +267,10 @@ fn energy_budgeted_daemon_reports_energy_and_occupancy_and_stays_bitwise() {
     assert!(energy > 0.0, "energy per image must be positive: {energy}");
     let mean_occ = m.mean_occupancy.expect("mean occupancy present");
     let peak_occ = m.peak_occupancy.expect("peak occupancy present");
-    assert!(mean_occ > 0.0 && mean_occ <= 1.0, "mean occupancy {mean_occ}");
+    assert!(
+        mean_occ > 0.0 && mean_occ <= 1.0,
+        "mean occupancy {mean_occ}"
+    );
     assert!(peak_occ >= mean_occ && peak_occ <= 1.0, "peak {peak_occ}");
 
     let resp = post(addr, "/v1/drain", &());

@@ -230,7 +230,10 @@ fn proto_version_skew_is_a_typed_error_not_a_misparse() {
         &format!("\"proto_version\":{}", sqdm_edm::wire::PROTO_VERSION),
         &format!("\"proto_version\":{}", sqdm_edm::wire::PROTO_VERSION + 5),
     );
-    assert_ne!(future, resp.body, "version field must be present to rewrite");
+    assert_ne!(
+        future, resp.body,
+        "version field must be present to rewrite"
+    );
     let skewed: sqdm_edm::wire::StatsReply = json::from_str(&future).unwrap();
     match sqdm_edm::wire::check_proto_version(skewed.proto_version) {
         Err(sqdm_edm::EdmError::ProtocolMismatch { expected, got }) => {

@@ -1,46 +1,41 @@
 //! Per-shape blocking heuristic shared by the GEMM cores.
 //!
 //! Both matrix-multiply families in this crate — the dense f32 core in
-//! [`super::matmul`] and the packed integer microkernels in [`super::int`]
-//! — size their work units here, so the cache model lives in one place:
+//! [`super::matmul`] and the packed integer kernel in [`super::int`] —
+//! size their work units here, so the cache model lives in one place:
 //!
 //! * **Task work estimate.** [`gemm_task_work`] is the flop estimate the
 //!   worker pool uses to decide how many tasks a GEMM is worth; both cores
 //!   feed it to [`crate::parallel::par_chunks_mut`].
-//! * **Row panels.** [`PANEL_ROWS`] output rows form one panel — the unit
-//!   the packed integer kernel partitions over the pool, chosen so a
-//!   panel's weight rows plus one L1 column tile stay cache-resident.
-//! * **Column tiles.** [`col_tile`] sizes the stripe of packed activation
-//!   columns a panel sweeps before moving on, so the tile (`tile ×
-//!   packed_k` i16 lanes) stays within half an L1 data cache and is reused
-//!   by every row of the panel.
+//! * **Register tile.** The integer kernel computes [`PANEL_ROWS`] output
+//!   rows × [`TILE_COLS`] output columns per tile, holding the tile's
+//!   exact i32 accumulators in eight 8-lane vector registers while it
+//!   sweeps one scale block (Goto & van de Geijn's outer-product
+//!   microkernel). A tile's activation strip — `packed_k · TILE_COLS` i16
+//!   — stays in L1 while the weight rows of a worker's chunk stream past
+//!   it.
 //!
 //! The f32 core *consults* this module but deliberately keeps its
 //! broadcast-form i-k-j loop untiled: it streams full `n`-wide rows of the
 //! right operand, and measurements at the bench shape (256³) show
 //! panel×tile restructuring slows that kernel down (the wide contiguous
 //! inner loop is already bandwidth-optimal for f32, and tiling shortens
-//! it). The dot-form integer kernel has the opposite profile — its inner
-//! loop walks two short i16 streams, so keeping a tile of those streams
-//! hot in L1 across a panel is what makes it beat the f32 core. The
-//! heuristic therefore exposes both shapes of advice and each core takes
-//! the part that matches its loop form.
+//! it).
 
 /// i16 lanes in one 256-bit vector — the pad quantum of the packed
-/// integer layouts. Scale blocks are padded to multiples of this so every
-/// block-aligned dot product runs over whole vector registers.
+/// integer layouts. Scale blocks are padded to multiples of this, so every
+/// block spans whole lane pairs and no block straddles a pair.
 pub const LANE: usize = 16;
 
-/// Output rows per panel in the packed integer kernel: the parallel work
-/// unit, and the number of weight rows that share one resident column
-/// tile. Small enough that `PANEL_ROWS` packed weight rows (a few KiB)
-/// never crowd the tile out of L1.
+/// Output rows per register tile of the packed integer kernel: each row
+/// owns two i32 accumulator vectors, and one broadcast weight pair per
+/// row feeds both.
 pub const PANEL_ROWS: usize = 4;
 
-/// Bytes of L1 data cache a column tile may occupy: half of the common
-/// 32 KiB, leaving the other half for the panel's weight rows, the output
-/// stripe, and incidental traffic.
-const L1_TILE_BYTES: usize = 16 * 1024;
+/// Output columns per register tile of the packed integer kernel: two
+/// 8-lane i32 vectors, i.e. 32 pair-interleaved i16 panel lanes per
+/// reduction pair.
+pub const TILE_COLS: usize = 16;
 
 /// Approximate work units (fused multiply-adds) one `[k] × [k, n]` output
 /// row costs — the per-chunk work estimate both GEMM cores hand to the
@@ -49,35 +44,9 @@ pub fn gemm_task_work(k: usize, n: usize) -> usize {
     2 * k.max(1) * n.max(1)
 }
 
-/// Number of packed activation columns (each `packed_k` i16 lanes long) a
-/// panel sweeps per tile: as many as fit in the L1 tile budget, clamped
-/// to `[4, n]` and rounded down to a multiple of 4 so the 4-wide generic
-/// microkernel never straddles a tile edge.
-pub fn col_tile(packed_k: usize, n: usize) -> usize {
-    if n == 0 {
-        return 4;
-    }
-    let fit = L1_TILE_BYTES / (2 * packed_k.max(1));
-    let tile = fit.clamp(4, n.max(4));
-    (tile & !3).max(4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn col_tile_fits_l1_and_is_quad_aligned() {
-        for pk in [1usize, 16, 64, 256, 1024, 4096, 1 << 20] {
-            for n in [1usize, 4, 7, 256, 10_000] {
-                let t = col_tile(pk, n);
-                assert!(t >= 4, "tile {t} too small at pk={pk} n={n}");
-                assert_eq!(t % 4, 0, "tile {t} not quad-aligned");
-                // Either the tile obeys the L1 budget or it is the minimum.
-                assert!(t == 4 || 2 * t * pk <= L1_TILE_BYTES);
-            }
-        }
-    }
 
     #[test]
     fn task_work_scales_with_shape_and_never_vanishes() {

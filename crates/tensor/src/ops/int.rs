@@ -11,47 +11,61 @@
 //!
 //! # Packed microkernel layout
 //!
-//! The hot kernels run on a packed, cache-blocked layout instead of the
-//! raw i8 operands:
+//! The hot kernels run one register-tiled microkernel (the outer-product
+//! form of Goto & van de Geijn, "Anatomy of High-Performance Matrix
+//! Multiplication", TOMS 2008) on packed operands instead of the raw i8
+//! codes. The dense GEMM and the dense fallback of the delta GEMM share
+//! it.
 //!
 //! * **Weights** are packed once into a [`PackedQuantizedMatrix`]: each
 //!   row's scale blocks are widened to i16 and padded to
-//!   [`blocking::LANE`]-lane quanta (pads are zero codes), so every
-//!   block-aligned dot product runs over whole vector registers with no
-//!   scalar tail. Rows are grouped into [`blocking::PANEL_ROWS`]-row
-//!   panels — the parallel work unit, sized with the f32 core's shared
-//!   heuristic in [`crate::ops::blocking`].
-//! * **Activations** are packed per call into the transposed `[n,
-//!   packed_k]` i16 layout with the per-stream zero point folded in, so
-//!   the inner loop is a straight dot product over two contiguous i16
-//!   streams.
-//! * **Inner loop.** The dot product is scalar Rust shaped so LLVM
-//!   autovectorizes it to i16×i16→i32 **pair accumulation** (`vpmaddwd`
-//!   on x86). Pair products here are bounded by `128 · 32 768 < 2²³`, so
-//!   the pair sums are exact — the instruction's lone saturating case
-//!   (`−32768 · −32768` in both lanes) cannot occur. A panel sweeps the
-//!   activation columns in L1-sized tiles ([`blocking::col_tile`]) so the
-//!   packed streams stay cache-resident across the panel's rows.
-//! * **ISA dispatch.** At runtime the kernels pick an AVX2-compiled body
-//!   when the CPU has AVX2 (std's `is_x86_feature_detected!`; the build
-//!   stays scalar Rust — no intrinsics, no new dependencies) and a
-//!   portable 4-column-stream body otherwise. Both bodies produce
-//!   bit-identical results (see below); [`force_generic_kernels`] pins
-//!   the portable body for testing.
+//!   [`blocking::LANE`]-lane quanta (pads are zero codes), so every block
+//!   spans whole lane pairs. Adjacent lanes `(w[2q], w[2q + 1])` form one
+//!   little-endian i32 — the broadcast operand of `vpmaddwd` — so the
+//!   kernel reads the pack as it is stored.
+//! * **Activations** are packed per call into a pair-interleaved panel
+//!   `[packed_k / 2][n][2]` i16 with the per-stream zero point folded in
+//!   (dense path) or the masked code delta (delta path). The packer reads
+//!   each im2col row contiguously and writes both lanes of a pair in one
+//!   pass.
+//! * **Tile body.** A [`blocking::PANEL_ROWS`]-row ×
+//!   [`blocking::TILE_COLS`]-column tile keeps eight i32 vector
+//!   accumulators per scale block: each lane pair broadcasts one weight
+//!   pair per row and multiplies it into two 8-column panel vectors with
+//!   i16×i16→i32 **pair accumulation**. Pair products are bounded by
+//!   `128 · 32 768 < 2²³`, so the pair sums are exact — the instruction's
+//!   lone saturating case (`−32768 · −32768` in both lanes) cannot occur.
+//!   The epilogue then folds `y += acc as f32 · (w_scale · x_scale[j])`
+//!   per element, a separate multiply and add (no FMA). Ragged edges run
+//!   the same body: a short last row panel repeats its final weight row,
+//!   a short last tile reads zero pad columns, and only in-range results
+//!   are stored.
+//! * **Parallelism.** Output rows split into one contiguous chunk per
+//!   worker; inside a chunk the column tile is the outer loop, so a
+//!   tile's panel strip stays in L1 while the chunk's weight rows stream
+//!   past it.
+//! * **ISA dispatch.** At runtime the kernels pick the AVX2 tile body
+//!   (`std::arch` intrinsics behind std's `is_x86_feature_detected!`; no
+//!   new dependencies) when the CPU has AVX2 and the portable body with
+//!   the same semantics otherwise. Both bodies produce bit-identical
+//!   results (see below); [`force_generic_kernels`] pins the portable body
+//!   for testing.
 //!
 //! # Determinism contract
 //!
 //! Layout and determinism follow the f32 kernel layer: the left operand
 //! is a [`QuantizedMatrix`] whose per-row scale blocks tile the reduction
 //! dimension, the right operand is a row-major code matrix with one
-//! per-tensor scale/zero-point ([`XQuant`]), and output panels are fanned
-//! out over the [`crate::parallel`] worker pool in contiguous blocks.
+//! per-tensor scale/zero-point ([`XQuant`]), and chunks of output rows are
+//! fanned out over the [`crate::parallel`] worker pool in contiguous
+//! blocks.
 //! Every output element is `Σ_b asc (acc_b as f32 · (w_scale[i, b] ·
 //! x_scale))` where each block accumulator `acc_b` is **exact** i32 —
 //! integer addition is associative, so the kernels are free to reorder
-//! the reduction (pair accumulation, padded lanes, ISA-specific bodies)
-//! without changing a single bit. The f32 requantization epilogue always
-//! folds blocks in ascending order per element, so results are bitwise
+//! the reduction (pair accumulation, padded lanes, register tiles,
+//! ISA-specific bodies) without changing a single bit. The f32
+//! requantization epilogue always folds blocks in ascending order per
+//! element, so results are bitwise
 //! identical at any `SQDM_THREADS`, on either ISA body, and to the
 //! pre-overhaul broadcast kernels.
 //!
@@ -80,7 +94,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::arena;
 use crate::error::{Result, TensorError};
-use crate::ops::{blocking, Conv2dGeometry};
+use crate::ops::blocking::{self, PANEL_ROWS, TILE_COLS};
+use crate::ops::Conv2dGeometry;
 use crate::parallel;
 use crate::tensor::Tensor;
 
@@ -226,9 +241,8 @@ impl QuantizedMatrix {
 }
 
 /// A [`QuantizedMatrix`] pre-packed into the microkernel weight layout:
-/// i16 codes, block-aligned and padded to [`blocking::LANE`]-lane quanta,
-/// rows grouped into [`blocking::PANEL_ROWS`]-row panels (the parallel
-/// work unit).
+/// row-major i16 codes, each scale block padded to [`blocking::LANE`]-lane
+/// quanta so every adjacent lane pair is one broadcastable i32.
 ///
 /// Packing costs one sweep over the codes; callers that apply the same
 /// weight to many activations (the `nn` executor's prepared projections,
@@ -348,122 +362,91 @@ fn pack_weight_codes(w: &QuantizedMatrix, starts: &[usize], pk: usize) -> Vec<i1
     packed
 }
 
-/// Packs the `[k, n]` activation codes into the transposed `[n,
-/// packed_k]` i16 layout, folding each column stripe's zero point in
-/// (columns `[s · stripe, (s + 1) · stripe)` belong to request `s`).
-fn pack_xt(
-    x: &[i8],
-    k: usize,
-    stripe: usize,
-    xqs: &[XQuant],
-    starts: &[usize],
-    block_len: usize,
-    pk: usize,
-) -> Vec<i16> {
-    let n = stripe * xqs.len();
-    let mut xt = arena::take_zeroed::<i16>(n * pk);
-    if xt.is_empty() {
-        return xt;
-    }
-    parallel::par_chunks_mut(&mut xt, pk, blocking::gemm_task_work(k, 1), |j, row| {
-        let zp = xqs[j / stripe].zero_point as i16;
-        for (b, win) in starts.windows(2).enumerate() {
-            let k0 = b * block_len;
-            let k1 = (k0 + block_len).min(k);
-            for (kk, slot) in row[win[0]..win[0] + (k1 - k0)].iter_mut().enumerate() {
-                *slot = x[(k0 + kk) * n + j] as i16 - zp;
-            }
-        }
-    });
-    xt
+/// Column stride of an activation panel with `n` columns cut into
+/// `seg`-column segments (the whole output in dense mode, one stream's
+/// stripe in delta mode): every [`TILE_COLS`]-wide register tile a
+/// segment starts must find readable columns, so the panel is padded
+/// past the last segment's final tile. Pad columns hold zeros and their
+/// results are never stored.
+fn panel_stride(n: usize, seg: usize) -> usize {
+    n - seg + seg.next_multiple_of(TILE_COLS)
 }
 
-/// Packs the **masked code deltas** `x_curr − x_prev` into the transposed
-/// `[n, packed_k]` i16 layout: rows a stream's mask marks unchanged stay
-/// zero (never read), so a packed dense GEMM over this operand computes
-/// exactly the sparse-delta correction (zero points cancel in the delta).
-#[allow(clippy::too_many_arguments)] // GEMM geometry + two steps of state
-fn pack_delta_xt(
-    x_curr: &[i8],
-    x_prev: &[i8],
-    changed: &[bool],
+/// Packs activation rows into the pair-interleaved panel `[pk / 2][np][2]`
+/// i16: packed lane `p` of column `j` lands at `(p / 2 · np + j) · 2 +
+/// p % 2`, so one tile's lane pair is 32 contiguous i16 — two vectors for
+/// `vpmaddwd` against a broadcast weight pair. `fill(lo, hi, pair_row)`
+/// writes reduction rows `lo` and `hi` (the pair's second lane, `None`
+/// when it is block padding) into the two halves of `pair_row[..2 · n]`
+/// with [`interleave`], reading each row contiguously; pad lanes and pad
+/// columns stay zero.
+fn pack_panel(
     k: usize,
-    stripe: usize,
-    streams: usize,
-    starts: &[usize],
     block_len: usize,
-    pk: usize,
+    starts: &[usize],
+    n: usize,
+    np: usize,
+    fill: impl Fn(usize, Option<usize>, &mut [i16]) + Sync,
 ) -> Vec<i16> {
-    let n = stripe * streams;
-    let mut dt = arena::take_zeroed::<i16>(n * pk);
-    if dt.is_empty() {
-        return dt;
+    let pk = *starts.last().unwrap_or(&0);
+    let mut panel = arena::take_zeroed::<i16>(pk * np);
+    if panel.is_empty() {
+        return panel;
     }
-    parallel::par_chunks_mut(&mut dt, pk, blocking::gemm_task_work(k, 1), |j, row| {
-        let mask = &changed[(j / stripe) * k..(j / stripe + 1) * k];
-        for (b, win) in starts.windows(2).enumerate() {
-            let k0 = b * block_len;
-            let k1 = (k0 + block_len).min(k);
-            for (kk, slot) in row[win[0]..win[0] + (k1 - k0)].iter_mut().enumerate() {
-                if mask[k0 + kk] {
-                    let idx = (k0 + kk) * n + j;
-                    *slot = x_curr[idx] as i16 - x_prev[idx] as i16;
-                }
-            }
+    parallel::par_chunks_mut(&mut panel, 2 * np, 4 * n, |q, pair_row| {
+        // Blocks start on even lanes, so both lanes of a pair share one.
+        let p = 2 * q;
+        let b = starts.partition_point(|&s| s <= p) - 1;
+        let lo = b * block_len + (p - starts[b]);
+        let end = ((b + 1) * block_len).min(k);
+        if lo < end {
+            fill(lo, (lo + 1 < end).then_some(lo + 1), &mut pair_row[..2 * n]);
         }
     });
-    dt
+    panel
 }
 
-/// Per-column activation scales: `xqs[j / stripe].scale` replicated, so
-/// the kernel epilogue needs no division in its hot path.
-fn stream_scales(stripe: usize, xqs: &[XQuant]) -> Vec<f32> {
-    let mut scales = arena::take::<f32>(stripe * xqs.len());
+/// Writes `lo` into the first and `hi` into the second lane of each
+/// column pair of `dst`; a `None` side is left untouched. Writing both
+/// lanes in one pass keeps the stores contiguous.
+#[inline(always)]
+fn interleave(
+    dst: &mut [i16],
+    lo: Option<impl Iterator<Item = i16>>,
+    hi: Option<impl Iterator<Item = i16>>,
+) {
+    match (lo, hi) {
+        (Some(lo), Some(hi)) => {
+            for ((d, a), b) in dst.chunks_exact_mut(2).zip(lo).zip(hi) {
+                d[0] = a;
+                d[1] = b;
+            }
+        }
+        (Some(lo), None) => dst.chunks_exact_mut(2).zip(lo).for_each(|(d, a)| d[0] = a),
+        (None, Some(hi)) => dst.chunks_exact_mut(2).zip(hi).for_each(|(d, b)| d[1] = b),
+        (None, None) => {}
+    }
+}
+
+/// Per-column activation scales, `xqs[j / stripe].scale` replicated and
+/// zero-padded to the panel stride, so the epilogue loads them as vectors
+/// with no division in its hot path.
+fn column_scales(stripe: usize, xqs: &[XQuant], np: usize) -> Vec<f32> {
+    let mut scales = arena::take::<f32>(np);
     scales.extend(
         xqs.iter()
             .flat_map(|q| std::iter::repeat_n(q.scale, stripe)),
     );
+    scales.resize(np, 0.0);
     scales
 }
 
-/// Single-stream packed dot product, shaped so LLVM autovectorizes it to
-/// i16×i16→i32 pair accumulation (`vpmaddwd` under AVX2). Exact: pair
-/// sums are bounded by `2 · 128 · 32 768 = 2²³` (see the module docs).
-#[inline(always)]
-fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
-    let mut s = 0i32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        s += x as i32 * y as i32;
-    }
-    s
-}
-
-/// Four-column-stream packed dot product: one weight segment against four
-/// activation segments, four independent accumulator streams. This is the
-/// portable body's inner loop — without AVX2 the extra ILP beats the
-/// single-stream form, while under AVX2 the single-stream `vpmaddwd`
-/// reduction wins (measured at the bench shape).
-#[inline(always)]
-fn dot_i16_x4(w: &[i16], x0: &[i16], x1: &[i16], x2: &[i16], x3: &[i16]) -> [i32; 4] {
-    let len = w.len();
-    let (x0, x1, x2, x3) = (&x0[..len], &x1[..len], &x2[..len], &x3[..len]);
-    let mut s = [0i32; 4];
-    for (i, &wv) in w.iter().enumerate() {
-        let wv = wv as i32;
-        s[0] += wv * x0[i] as i32;
-        s[1] += wv * x1[i] as i32;
-        s[2] += wv * x2[i] as i32;
-        s[3] += wv * x3[i] as i32;
-    }
-    s
-}
-
-/// Borrowed view of everything a packed kernel body needs; one instance
-/// is shared (immutably) by every worker of a parallel region.
-struct PackedKernelCtx<'a> {
-    /// Packed weight codes, `[rows, pk]`.
+/// Borrowed view of everything the tile bodies need; one instance is
+/// shared (immutably) by every worker of a parallel region.
+struct TileCtx<'a> {
+    /// Packed weight codes, `[m, pk]`.
     codes: &'a [i16],
-    /// Weight scales, `[rows, nb]`.
+    /// Weight scales, `[m, nb]`.
     scales: &'a [f32],
     /// Packed block offsets, `nb + 1` entries.
     starts: &'a [usize],
@@ -471,170 +454,196 @@ struct PackedKernelCtx<'a> {
     pk: usize,
     /// Scale blocks per row.
     nb: usize,
-    /// Packed activations (or masked deltas), `[n, pk]`.
-    xt: &'a [i16],
-    /// Per-column activation scale, `[n]`.
+    /// Activation panel (codes or masked deltas), `[pk / 2][np][2]`.
+    panel: &'a [i16],
+    /// Panel column stride.
+    np: usize,
+    /// Per-column activation scale, `[np]`.
     xscale: &'a [f32],
-    /// Output columns.
-    n: usize,
-    /// Activation columns per L1 tile.
-    tile: usize,
 }
 
-/// Dense panel body: produces `chunk` (one panel of output rows, zeroed
-/// semantics) from the packed operands. `X4` selects the 4-stream inner
-/// loop (portable body); the AVX2 instantiation uses the single-stream
-/// form. Per element the f32 epilogue folds blocks in ascending order
-/// from `0.0`, reproducing the pre-overhaul kernel bitwise.
-#[inline(always)]
-fn dense_panel<const X4: bool>(ctx: &PackedKernelCtx<'_>, i0: usize, chunk: &mut [f32]) {
-    let n = ctx.n;
-    let rows = chunk.len() / n;
-    let mut jt = 0usize;
-    while jt < n {
-        let j_end = (jt + ctx.tile).min(n);
-        for r in 0..rows {
-            let i = i0 + r;
-            let w_row = &ctx.codes[i * ctx.pk..(i + 1) * ctx.pk];
-            let w_sc = &ctx.scales[i * ctx.nb..(i + 1) * ctx.nb];
-            let o_row = &mut chunk[r * n..(r + 1) * n];
-            let mut j = jt;
-            if X4 {
-                while j + 4 <= j_end {
-                    let x0 = &ctx.xt[j * ctx.pk..(j + 1) * ctx.pk];
-                    let x1 = &ctx.xt[(j + 1) * ctx.pk..(j + 2) * ctx.pk];
-                    let x2 = &ctx.xt[(j + 2) * ctx.pk..(j + 3) * ctx.pk];
-                    let x3 = &ctx.xt[(j + 3) * ctx.pk..(j + 4) * ctx.pk];
-                    let mut y = [0.0f32; 4];
-                    for (win, &ws) in ctx.starts.windows(2).zip(w_sc) {
-                        let (s0, s1) = (win[0], win[1]);
-                        let acc = dot_i16_x4(
-                            &w_row[s0..s1],
-                            &x0[s0..s1],
-                            &x1[s0..s1],
-                            &x2[s0..s1],
-                            &x3[s0..s1],
-                        );
-                        for (t, (yy, &a)) in y.iter_mut().zip(&acc).enumerate() {
-                            *yy += a as f32 * (ws * ctx.xscale[j + t]);
-                        }
-                    }
-                    o_row[j..j + 4].copy_from_slice(&y);
-                    j += 4;
+/// One register tile's f32 outputs: [`PANEL_ROWS`] rows × [`TILE_COLS`]
+/// columns.
+type Tile = [[f32; TILE_COLS]; PANEL_ROWS];
+
+/// Portable tile body: weight rows `rows` against panel columns `[j0, j0 +
+/// TILE_COLS)`. Per scale block the exact i32 accumulators sweep the
+/// block's lane pairs, then the epilogue folds `y += acc as f32 · (ws ·
+/// xscale[j])`; blocks run in ascending order and, in delta mode
+/// (`active` given), inactive blocks are skipped outright — no `+ 0.0`,
+/// which could flip a `-0.0`.
+fn tile_generic(
+    ctx: &TileCtx<'_>,
+    rows: &[usize; PANEL_ROWS],
+    j0: usize,
+    active: Option<&[bool]>,
+    y: &mut Tile,
+) {
+    let w: [&[i16]; PANEL_ROWS] =
+        std::array::from_fn(|r| &ctx.codes[rows[r] * ctx.pk..(rows[r] + 1) * ctx.pk]);
+    let xs = &ctx.xscale[j0..j0 + TILE_COLS];
+    for (b, win) in ctx.starts.windows(2).enumerate() {
+        if active.is_some_and(|a| !a[b]) {
+            continue;
+        }
+        let mut acc = [[0i32; TILE_COLS]; PANEL_ROWS];
+        for q in win[0] / 2..win[1] / 2 {
+            let x = &ctx.panel[(q * ctx.np + j0) * 2..][..2 * TILE_COLS];
+            for (a, wr) in acc.iter_mut().zip(&w) {
+                let (w0, w1) = (wr[2 * q] as i32, wr[2 * q + 1] as i32);
+                for (av, xp) in a.iter_mut().zip(x.chunks_exact(2)) {
+                    *av += w0 * xp[0] as i32 + w1 * xp[1] as i32;
                 }
-            }
-            while j < j_end {
-                let x_row = &ctx.xt[j * ctx.pk..(j + 1) * ctx.pk];
-                let mut y = 0.0f32;
-                for (win, &ws) in ctx.starts.windows(2).zip(w_sc) {
-                    let acc = dot_i16(&w_row[win[0]..win[1]], &x_row[win[0]..win[1]]);
-                    y += acc as f32 * (ws * ctx.xscale[j]);
-                }
-                o_row[j] = y;
-                j += 1;
             }
         }
-        jt = j_end;
+        for ((yr, a), &i) in y.iter_mut().zip(&acc).zip(rows) {
+            let ws = ctx.scales[i * ctx.nb + b];
+            for ((yv, &av), &xsc) in yr.iter_mut().zip(a).zip(xs) {
+                *yv += av as f32 * (ws * xsc);
+            }
+        }
     }
 }
 
-/// Delta panel body: `chunk` arrives pre-initialized to the previous
-/// output; only blocks whose (stream, block) slot in `active` holds a
-/// changed row contribute — skipped blocks leave the element untouched
-/// (no `+ 0.0`, which could flip a `-0.0`), exactly like the sparse path.
+/// AVX2 tile body: [`tile_generic`]'s semantics with the 4×16 tile held
+/// in eight i32 vector accumulators. Each lane pair broadcasts one weight
+/// pair `(w[2q], w[2q + 1])` — adjacent i16s, i.e. one little-endian i32
+/// — and `vpmaddwd`s it against two 8-column panel vectors. The epilogue
+/// converts, multiplies and adds as separate instructions (no FMA), so
+/// every element rounds exactly as the portable body does.
 ///
-/// `#[inline(always)]` is load-bearing: the AVX2 wrapper's
-/// `#[target_feature]` only reaches code inlined into it.
-#[inline(always)]
-fn delta_panel(
-    ctx: &PackedKernelCtx<'_>,
-    stripe: usize,
-    active: &[bool],
-    i0: usize,
-    chunk: &mut [f32],
+/// # Safety
+///
+/// The CPU must support AVX2, and the caller must uphold the panel
+/// bounds [`gemm_tiles`] asserts: `rows[r] < m`, `j0 + TILE_COLS <= np`,
+/// `panel.len() >= pk · np`, `xscale.len() >= np`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2(
+    ctx: &TileCtx<'_>,
+    rows: &[usize; PANEL_ROWS],
+    j0: usize,
+    active: Option<&[bool]>,
+    y: &mut Tile,
 ) {
-    let n = ctx.n;
-    let rows = chunk.len() / n;
-    let mut jt = 0usize;
-    while jt < n {
-        let j_end = (jt + ctx.tile).min(n);
-        for r in 0..rows {
-            let i = i0 + r;
-            let w_row = &ctx.codes[i * ctx.pk..(i + 1) * ctx.pk];
-            let w_sc = &ctx.scales[i * ctx.nb..(i + 1) * ctx.nb];
-            let o_row = &mut chunk[r * n..(r + 1) * n];
-            for j in jt..j_end {
-                let act = &active[(j / stripe) * ctx.nb..(j / stripe + 1) * ctx.nb];
-                let x_row = &ctx.xt[j * ctx.pk..(j + 1) * ctx.pk];
-                let mut y = o_row[j];
-                for ((win, &ws), &on) in ctx.starts.windows(2).zip(w_sc).zip(act) {
-                    if !on {
-                        continue;
-                    }
-                    let acc = dot_i16(&w_row[win[0]..win[1]], &x_row[win[0]..win[1]]);
-                    y += acc as f32 * (ws * ctx.xscale[j]);
-                }
-                o_row[j] = y;
+    use std::arch::x86_64::*;
+    let w: [*const i16; PANEL_ROWS] =
+        std::array::from_fn(|r| ctx.codes[rows[r] * ctx.pk..].as_ptr());
+    let xs = ctx.xscale[j0..j0 + TILE_COLS].as_ptr();
+    let (xs0, xs1) = (_mm256_loadu_ps(xs), _mm256_loadu_ps(xs.add(8)));
+    for (b, win) in ctx.starts.windows(2).enumerate() {
+        if active.is_some_and(|a| !a[b]) {
+            continue;
+        }
+        let mut acc = [_mm256_setzero_si256(); 2 * PANEL_ROWS];
+        for q in win[0] / 2..win[1] / 2 {
+            let xp = ctx.panel.as_ptr().add((q * ctx.np + j0) * 2);
+            let x0 = _mm256_loadu_si256(xp.cast());
+            let x1 = _mm256_loadu_si256(xp.add(16).cast());
+            for (r, wr) in w.iter().enumerate() {
+                let pair = _mm256_set1_epi32(wr.add(2 * q).cast::<i32>().read_unaligned());
+                acc[2 * r] = _mm256_add_epi32(acc[2 * r], _mm256_madd_epi16(pair, x0));
+                acc[2 * r + 1] = _mm256_add_epi32(acc[2 * r + 1], _mm256_madd_epi16(pair, x1));
             }
         }
-        jt = j_end;
+        for (r, yr) in y.iter_mut().enumerate() {
+            let ws = _mm256_set1_ps(ctx.scales[rows[r] * ctx.nb + b]);
+            let yp = yr.as_mut_ptr();
+            for (half, xsh) in [xs0, xs1].into_iter().enumerate() {
+                let term = _mm256_mul_ps(
+                    _mm256_cvtepi32_ps(acc[2 * r + half]),
+                    _mm256_mul_ps(ws, xsh),
+                );
+                let yv = _mm256_add_ps(_mm256_loadu_ps(yp.add(8 * half)), term);
+                _mm256_storeu_ps(yp.add(8 * half), yv);
+            }
+        }
     }
 }
 
-/// AVX2 instantiation of the dense body: same scalar Rust, compiled with
-/// the AVX2 feature so the single-stream dot lowers to `vpmaddwd`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dense_panel_avx2(ctx: &PackedKernelCtx<'_>, i0: usize, chunk: &mut [f32]) {
-    dense_panel::<false>(ctx, i0, chunk);
-}
-
-/// AVX2 instantiation of the delta body.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn delta_panel_avx2(
-    ctx: &PackedKernelCtx<'_>,
-    stripe: usize,
-    active: &[bool],
-    i0: usize,
-    chunk: &mut [f32],
+/// Runs one tile on the ISA-selected body.
+fn run_tile(
+    use_avx2: bool,
+    ctx: &TileCtx<'_>,
+    rows: &[usize; PANEL_ROWS],
+    j0: usize,
+    active: Option<&[bool]>,
+    y: &mut Tile,
 ) {
-    delta_panel(ctx, stripe, active, i0, chunk);
-}
-
-/// Dispatches one dense panel to the ISA-selected body.
-fn run_dense_panel(use_avx2: bool, ctx: &PackedKernelCtx<'_>, i0: usize, chunk: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if use_avx2 {
         // SAFETY: `use_avx2` is only true when `kernel_uses_avx2`
-        // observed AVX2 via `is_x86_feature_detected!` on this machine,
-        // which is the target-feature contract of `dense_panel_avx2`.
-        unsafe { dense_panel_avx2(ctx, i0, chunk) };
+        // observed AVX2 on this machine, and `gemm_tiles` asserted the
+        // panel bounds for every tile it issues.
+        unsafe { tile_avx2(ctx, rows, j0, active, y) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = use_avx2;
-    dense_panel::<true>(ctx, i0, chunk);
+    tile_generic(ctx, rows, j0, active, y);
 }
 
-/// Dispatches one delta panel to the ISA-selected body.
-fn run_delta_panel(
-    use_avx2: bool,
-    ctx: &PackedKernelCtx<'_>,
+/// Delta-mode inputs of [`gemm_tiles`].
+struct DeltaTiles<'a> {
+    /// The previous step's output every element starts from, `[m, n]`.
+    prev_out: &'a [f32],
+    /// Per-(stream, block) activity, `[streams, nb]`.
+    active: &'a [bool],
+    /// Columns per stream.
     stripe: usize,
-    active: &[bool],
-    i0: usize,
-    chunk: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: as in `run_dense_panel` — gated on runtime detection.
-        unsafe { delta_panel_avx2(ctx, stripe, active, i0, chunk) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_avx2;
-    delta_panel(ctx, stripe, active, i0, chunk);
+}
+
+/// The register-tiled GEMM shared by the dense and delta paths: fills
+/// `out` (`[m, n]`) tile by tile. Rows are split into one contiguous
+/// chunk per worker; inside a chunk the column tile is the outer loop,
+/// so a tile's panel strip stays in L1 while the chunk's weight rows
+/// stream past it. Ragged edges run the full tile body — a short last
+/// panel repeats its final weight row, a short last tile reads zero pad
+/// columns — and store only the in-range results. In delta mode tiles
+/// never straddle a stream: each stream's stripe is tiled separately so
+/// one activity row governs the whole tile.
+fn gemm_tiles(ctx: &TileCtx<'_>, n: usize, delta: Option<&DeltaTiles<'_>>, out: &mut [f32]) {
+    let seg = delta.map_or(n, |d| d.stripe);
+    let m = out.len() / n;
+    assert!(
+        ctx.np >= panel_stride(n, seg)
+            && ctx.panel.len() >= ctx.pk * ctx.np
+            && ctx.xscale.len() >= ctx.np
+            && ctx.codes.len() == m * ctx.pk
+            && ctx.scales.len() == m * ctx.nb
+            && ctx.pk.is_multiple_of(2),
+        "packed kernel operands disagree with the panel layout"
+    );
+    let use_avx2 = kernel_uses_avx2();
+    let chunk_rows = m
+        .div_ceil(parallel::current_threads())
+        .next_multiple_of(PANEL_ROWS);
+    let chunk_work = chunk_rows * blocking::gemm_task_work(ctx.pk, n);
+    parallel::par_chunks_mut(out, chunk_rows * n, chunk_work, |c, chunk| {
+        let i0 = c * chunk_rows;
+        let rows = chunk.len() / n;
+        for s in 0..n / seg {
+            let active = delta.map(|d| &d.active[s * ctx.nb..(s + 1) * ctx.nb]);
+            for j0 in (s * seg..(s + 1) * seg).step_by(TILE_COLS) {
+                let cols = ((s + 1) * seg - j0).min(TILE_COLS);
+                for p0 in (0..rows).step_by(PANEL_ROWS) {
+                    let pr = (rows - p0).min(PANEL_ROWS);
+                    let idx = std::array::from_fn(|r| i0 + p0 + r.min(pr - 1));
+                    let mut y = [[0.0f32; TILE_COLS]; PANEL_ROWS];
+                    if let Some(d) = delta {
+                        for (r, yr) in y.iter_mut().take(pr).enumerate() {
+                            yr[..cols]
+                                .copy_from_slice(&d.prev_out[(i0 + p0 + r) * n + j0..][..cols]);
+                        }
+                    }
+                    run_tile(use_avx2, ctx, &idx, j0, active, &mut y);
+                    for (r, yr) in y.iter().take(pr).enumerate() {
+                        chunk[(p0 + r) * n + j0..][..cols].copy_from_slice(&yr[..cols]);
+                    }
+                }
+            }
+        }
+    });
 }
 
 fn check_qgemm(op: &'static str, w: &QuantizedMatrix, x_len: usize, n: usize) -> Result<()> {
@@ -829,9 +838,10 @@ pub fn qgemm_packed_multi(
     Ok(())
 }
 
-/// The packed dense core: packs the activations, then fans
-/// [`blocking::PANEL_ROWS`]-row panels of `out` over the worker pool.
-/// Arguments are pre-validated and non-degenerate (`rows > 0`, `n > 0`).
+/// The packed dense core: packs the activations (zero points folded in)
+/// into the pair panel, then runs the register-tiled kernel with every
+/// element starting from `0.0`. Arguments are pre-validated and
+/// non-degenerate (`rows > 0`, `n > 0`).
 fn qgemm_packed_run(
     w: &QuantizedMatrix,
     packed: &[i16],
@@ -842,29 +852,35 @@ fn qgemm_packed_run(
     out: &mut [f32],
 ) {
     let n = stripe * xqs.len();
-    let pk = *starts.last().unwrap_or(&0);
-    let xt = pack_xt(x_codes, w.cols, stripe, xqs, starts, w.block_len, pk);
-    let xscale = stream_scales(stripe, xqs);
-    let ctx = PackedKernelCtx {
+    let np = panel_stride(n, n);
+    let panel = pack_panel(w.cols, w.block_len, starts, n, np, |lo, hi, pair_row| {
+        for (s, xq) in xqs.iter().enumerate() {
+            let (zp, cols) = (xq.zero_point as i16, s * stripe..(s + 1) * stripe);
+            let row = |kk: usize| {
+                x_codes[kk * n..(kk + 1) * n][cols.clone()]
+                    .iter()
+                    .map(move |&c| c as i16 - zp)
+            };
+            interleave(
+                &mut pair_row[2 * cols.start..2 * cols.end],
+                Some(row(lo)),
+                hi.map(row),
+            );
+        }
+    });
+    let xscale = column_scales(stripe, xqs, np);
+    let ctx = TileCtx {
         codes: packed,
         scales: &w.scales,
         starts,
-        pk,
+        pk: *starts.last().unwrap_or(&0),
         nb: w.n_blocks(),
-        xt: &xt,
+        panel: &panel,
+        np,
         xscale: &xscale,
-        n,
-        tile: blocking::col_tile(pk, n),
     };
-    let use_avx2 = kernel_uses_avx2();
-    let panel = blocking::PANEL_ROWS;
-    parallel::par_chunks_mut(
-        out,
-        panel * n,
-        panel * blocking::gemm_task_work(pk.max(w.cols), n),
-        |p, chunk| run_dense_panel(use_avx2, &ctx, p * panel, chunk),
-    );
-    arena::recycle(xt);
+    gemm_tiles(&ctx, n, None, out);
+    arena::recycle(panel);
     arena::recycle(xscale);
 }
 
@@ -881,15 +897,18 @@ fn changed_fraction(changed: &[bool]) -> f32 {
 /// row-skipping and recomputes the correction with the packed dense
 /// microkernel over the masked deltas.
 ///
-/// Measured on the 256³ bench shape (see `BENCH_ci.json`'s
-/// `qgemm_delta_int8` sparsity sweep): the sparse broadcast path's cost
-/// grows linearly with the changed fraction (≈0.35 ms at 5 % changed,
-/// ≈0.96 ms at 25 %, ≈1.17 ms at 30 %) while the packed dense path is
-/// flat at ≈1.05 ms, so the curves cross between 25 % and 30 % changed
-/// rows; the threshold sits at the low edge of that band. Both paths are
-/// bitwise identical, so the threshold is purely a performance decision;
-/// [`qgemm_delta_multi_with_threshold`] overrides it for testing.
-pub const DELTA_DENSE_THRESHOLD: f32 = 0.25;
+/// Measured on the 256³ bench shape of `repro_bench`'s
+/// `qgemm_delta_int8` sweep (per-channel weights, the sweep's seeded
+/// scattered masks), forcing each branch on a 2-vCPU x86-64 host: the
+/// sparse broadcast path grows linearly with the changed fraction
+/// (≈0.29 ms at 4 %, ≈0.34 ms at 5–6 %, ≈0.45 ms at 8 %, ≈0.82 ms at
+/// 20 %) while the register-tiled dense path is flat at ≈0.35–0.37 ms
+/// (the full dense `qgemm` takes ≈0.38 ms), so the curves cross between
+/// 6 % and 7 % changed rows; the threshold sits at the low edge of that
+/// band. Both paths are bitwise identical, so the threshold is purely a
+/// performance decision; [`qgemm_delta_multi_with_threshold`] overrides
+/// it for testing.
+pub const DELTA_DENSE_THRESHOLD: f32 = 0.0625;
 
 /// Temporal sparse-delta GEMM: recomputes only the contributions of
 /// reduction rows whose activation changed since the previous step.
@@ -1104,9 +1123,10 @@ pub fn qgemm_delta_packed_multi_with_threshold(
     Ok(())
 }
 
-/// Dense-fallback delta core: packs the masked deltas and runs the packed
-/// microkernel, skipping (stream, block) slots with no changed rows so
-/// the f32 epilogue touches exactly the elements the sparse path touches.
+/// Dense-fallback delta core: packs the masked deltas into the pair panel
+/// and runs the register-tiled kernel from `prev_out`, skipping (stream,
+/// block) slots with no changed rows so the f32 epilogue touches exactly
+/// the elements the sparse path touches.
 #[allow(clippy::too_many_arguments)] // GEMM geometry + two steps of state
 fn qgemm_delta_packed_run(
     w: &QuantizedMatrix,
@@ -1123,19 +1143,28 @@ fn qgemm_delta_packed_run(
     let n = stripe * xqs.len();
     let k = w.cols;
     let nb = w.n_blocks();
-    let pk = *starts.last().unwrap_or(&0);
-    let dt = pack_delta_xt(
-        x_curr,
-        x_prev,
-        changed,
-        k,
-        stripe,
-        xqs.len(),
-        starts,
-        w.block_len,
-        pk,
-    );
-    let xscale = stream_scales(stripe, xqs);
+    let np = panel_stride(n, stripe);
+    let panel = pack_panel(k, w.block_len, starts, n, np, |lo, hi, pair_row| {
+        for s in 0..xqs.len() {
+            let cols = s * stripe..(s + 1) * stripe;
+            // Masked code deltas of one reduction row (zero points cancel).
+            let row = |kk: usize| {
+                changed[s * k + kk].then(|| {
+                    let (cur, prv) = (&x_curr[kk * n..(kk + 1) * n], &x_prev[kk * n..(kk + 1) * n]);
+                    cur[cols.clone()]
+                        .iter()
+                        .zip(&prv[cols.clone()])
+                        .map(|(&c, &p)| c as i16 - p as i16)
+                })
+            };
+            interleave(
+                &mut pair_row[2 * cols.start..2 * cols.end],
+                row(lo),
+                hi.and_then(row),
+            );
+        }
+    });
+    let xscale = column_scales(stripe, xqs, np);
     let mut active = arena::take_zeroed::<bool>(xqs.len() * nb);
     for (s, row) in active.chunks_mut(nb.max(1)).enumerate() {
         let mask = &changed[s * k..(s + 1) * k];
@@ -1145,30 +1174,23 @@ fn qgemm_delta_packed_run(
             *slot = mask[k0..k1].iter().any(|&c| c);
         }
     }
-    let ctx = PackedKernelCtx {
+    let ctx = TileCtx {
         codes: packed,
         scales: &w.scales,
         starts,
-        pk,
+        pk: *starts.last().unwrap_or(&0),
         nb,
-        xt: &dt,
+        panel: &panel,
+        np,
         xscale: &xscale,
-        n,
-        tile: blocking::col_tile(pk, n),
     };
-    let use_avx2 = kernel_uses_avx2();
-    let panel = blocking::PANEL_ROWS;
-    parallel::par_chunks_mut(
-        out,
-        panel * n,
-        panel * blocking::gemm_task_work(pk.max(k), n),
-        |p, chunk| {
-            let base = p * panel * n;
-            chunk.copy_from_slice(&prev_out[base..base + chunk.len()]);
-            run_delta_panel(use_avx2, &ctx, stripe, &active, p * panel, chunk);
-        },
-    );
-    arena::recycle(dt);
+    let delta = DeltaTiles {
+        prev_out,
+        active: &active,
+        stripe,
+    };
+    gemm_tiles(&ctx, n, Some(&delta), out);
+    arena::recycle(panel);
     arena::recycle(xscale);
     arena::recycle(active);
 }
@@ -1337,25 +1359,50 @@ pub fn im2col_i8_multi(
     let cols = n * oh * ow;
     let mut out = arena::take_zeroed::<i8>(rows * cols);
     if rows > 0 && cols > 0 {
+        let (stride, pad) = (geom.stride, geom.padding);
         parallel::par_chunks_mut(&mut out, cols, 2 * cols, |row, o_row| {
             let cc = row / (kh * kw);
             let ky = (row / kw) % kh;
             let kx = row % kw;
+            // Output rows/columns whose input coordinate `o · stride +
+            // k − pad` lies inside the input: the in-bounds window.
+            let window = |k: usize, extent: usize, out: usize| {
+                let lo = pad.saturating_sub(k).div_ceil(stride).min(out);
+                let hi = (extent + pad).saturating_sub(k).div_ceil(stride);
+                (lo, hi.clamp(lo, out))
+            };
+            let (oy_lo, oy_hi) = window(ky, h, oh);
+            let (ox_lo, ox_hi) = window(kx, w, ow);
             for nn in 0..n {
-                o_row[nn * oh * ow..(nn + 1) * oh * ow].fill(pad_codes[nn]);
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
+                let pad_code = pad_codes[nn];
+                let plane = &mut o_row[nn * oh * ow..(nn + 1) * oh * ow];
+                plane.fill(pad_code);
+                if oy_lo == oy_hi || ox_lo == ox_hi {
+                    continue;
+                }
+                let src = &codes[(nn * c + cc) * h * w..][..h * w];
+                let ix_lo = ox_lo * stride + kx - pad;
+                if stride == 1 && ow == w {
+                    // Output index `o` reads input index `o + (ky − pad) ·
+                    // w + kx − pad`, so one copy covers every in-bounds
+                    // row; the columns it wraps into are reset to padding.
+                    let (o0, o1) = (oy_lo * ow + ox_lo, (oy_hi - 1) * ow + ox_hi);
+                    let i0 = (oy_lo + ky - pad) * w + ix_lo;
+                    plane[o0..o1].copy_from_slice(&src[i0..i0 + (o1 - o0)]);
+                    // Column by column (strided stores, not one tiny
+                    // fill per row).
+                    for ox in (0..ox_lo).chain(ox_hi..ow) {
+                        let column = plane[oy_lo * ow + ox..oy_hi * ow].iter_mut();
+                        column.step_by(ow).for_each(|v| *v = pad_code);
                     }
-                    let in_row = &codes[((nn * c + cc) * h + iy as usize) * w..][..w];
-                    let o_base = (nn * oh + oy) * ow;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                } else {
+                    for oy in oy_lo..oy_hi {
+                        let in_row = &src[(oy * stride + ky - pad) * w..][..w];
+                        let dst = &mut plane[oy * ow..][ox_lo..ox_hi];
+                        let taps = in_row[ix_lo..].iter().step_by(stride);
+                        for (d, &v) in dst.iter_mut().zip(taps) {
+                            *d = v;
                         }
-                        o_row[o_base + ox] = in_row[ix as usize];
                     }
                 }
             }

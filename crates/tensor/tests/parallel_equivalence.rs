@@ -6,11 +6,16 @@
 //! equality — not approximate agreement — between `SQDM_THREADS=1` and any
 //! other thread count. These tests pin that contract for the matmul
 //! family, im2col/conv2d (forward and backward), softmax and the
-//! elementwise activations, over random shapes (including the degenerate
+//! elementwise activations over random shapes (including the degenerate
 //! `m = 0`, `n = 0`, `k = 0` and single-row cases) and thread counts
-//! `{1, 2, 7}`.
+//! `{1, 2, 7}`, and for the packed integer kernels on shapes the pool
+//! splits.
 
 use proptest::prelude::*;
+use sqdm_tensor::ops::int::{
+    conv2d_i8_packed_delta_multi, conv2d_i8_packed_multi, im2col_i8_multi, qgemm_packed_multi,
+    ConvDeltaState, PackedQuantizedMatrix, QuantizedMatrix, XQuant,
+};
 use sqdm_tensor::ops::{
     conv2d, conv2d_backward, im2col, matmul, matmul_a_bt, matmul_at_b, softmax_rows,
     softmax_rows_backward, Activation, Conv2dGeometry,
@@ -137,47 +142,100 @@ proptest! {
     }
 }
 
-/// Shapes big enough that the pool actually splits the work (the grain
-/// heuristic keeps tiny proptest shapes serial), pinned explicitly so the
-/// parallel code path itself is exercised.
+/// Shapes big enough that the pool actually splits every kernel here
+/// (the grain heuristic keeps tiny proptest shapes serial), pinned
+/// explicitly so the parallel code path itself is exercised. The smallest
+/// region is the softmax, 384 rows of `8 · 1024` work units;
+/// `parallel::tests::pooled_equivalence_regions_still_split` pins that it
+/// stays above the pool's grain.
 #[test]
 fn large_kernels_engage_the_pool_and_stay_bitwise_equal() {
     let mut rng = Rng::seed_from(0xD15C0);
-    let a = Tensor::randn([96, 128], &mut rng);
-    let b = Tensor::randn([128, 112], &mut rng);
-    let a_t = Tensor::randn([128, 96], &mut rng);
-    let b_t = Tensor::randn([112, 128], &mut rng);
-    let x = Tensor::randn([2, 8, 24, 24], &mut rng);
-    let w = Tensor::randn([8, 8, 3, 3], &mut rng);
-    let sm = Tensor::randn([128, 192], &mut rng);
+    let a = Tensor::randn([128, 192], &mut rng);
+    let b = Tensor::randn([192, 160], &mut rng);
+    let a_t = Tensor::randn([192, 128], &mut rng);
+    let b_t = Tensor::randn([160, 192], &mut rng);
+    let x = Tensor::randn([2, 16, 32, 32], &mut rng);
+    let w = Tensor::randn([16, 16, 3, 3], &mut rng);
+    let sm = Tensor::randn([384, 1024], &mut rng);
 
-    let serial = with_threads(1, || {
+    // Integer kernels: a 64-channel 3×3 conv over 32 input channels
+    // (scale blocks of 32), two 16×16 streams, and a second step that
+    // changes half of stream 0's channels.
+    let (c, hw, kout) = (32usize, 16usize, 64usize);
+    let kdim = c * 9;
+    let mut codes = |len: usize| -> Vec<i8> {
+        (0..len)
+            .map(|_| (rng.uniform() * 254.0 - 127.0) as i8)
+            .collect()
+    };
+    let scales: Vec<f32> = (0..kout * kdim.div_ceil(32))
+        .map(|i| 0.002 + 1e-4 * (i % 17) as f32)
+        .collect();
+    let pw = PackedQuantizedMatrix::pack(
+        QuantizedMatrix::new(codes(kout * kdim), kout, kdim, scales, 32).unwrap(),
+    );
+    let xc = codes(2 * c * hw * hw);
+    let mut xc_next = xc.clone();
+    for v in &mut xc_next[..c / 2 * hw * hw] {
+        *v = v.wrapping_add(1);
+    }
+    let changed: Vec<bool> = (0..2 * c).map(|ch| ch < c / 2).collect();
+    let xqs = [XQuant::symmetric(0.02), XQuant::symmetric(0.03)];
+    let geom = Conv2dGeometry::same(3);
+    let lowered = im2col_i8_multi(&xc, 2, c, hw, hw, 3, 3, geom, &[0, 0]).unwrap();
+
+    let run = || {
+        let mut gemm = vec![0.0f32; kout * 2 * hw * hw];
+        qgemm_packed_multi(&pw, &lowered, hw * hw, &xqs, &mut gemm).unwrap();
+        let mut int = vec![
+            Tensor::from_vec(gemm, [kout, 2 * hw * hw]).unwrap(),
+            conv2d_i8_packed_multi(&pw, &xc, 2, c, hw, hw, 3, 3, None, geom, &xqs).unwrap(),
+        ];
+        // Both delta branches: the tiled dense fallback and the sparse core.
+        for threshold in [0.0f32, 2.0] {
+            let mut state = ConvDeltaState::new();
+            // The first step has no carry and runs dense.
+            for codes in [&xc, &xc_next] {
+                int.push(
+                    conv2d_i8_packed_delta_multi(
+                        &pw, codes, 2, c, hw, hw, 3, 3, None, geom, &xqs, &changed, &mut state,
+                        threshold,
+                    )
+                    .unwrap(),
+                );
+            }
+        }
         (
             matmul(&a, &b).unwrap(),
             matmul_at_b(&a_t, &b).unwrap(),
             matmul_a_bt(&a, &b_t).unwrap(),
-            conv2d(&x, &w, None, Conv2dGeometry::same(3)).unwrap(),
+            conv2d(&x, &w, None, geom).unwrap(),
             softmax_rows(&sm).unwrap(),
             Activation::Silu.forward(&sm),
+            int,
         )
-    });
+    };
+    let serial = with_threads(1, run);
     for t in [2usize, 3, 7] {
-        let par = with_threads(t, || {
-            (
-                matmul(&a, &b).unwrap(),
-                matmul_at_b(&a_t, &b).unwrap(),
-                matmul_a_bt(&a, &b_t).unwrap(),
-                conv2d(&x, &w, None, Conv2dGeometry::same(3)).unwrap(),
-                softmax_rows(&sm).unwrap(),
-                Activation::Silu.forward(&sm),
-            )
-        });
+        let par = with_threads(t, run);
         assert_bitwise_eq(&serial.0, &par.0, "large matmul");
         assert_bitwise_eq(&serial.1, &par.1, "large matmul_at_b");
         assert_bitwise_eq(&serial.2, &par.2, "large matmul_a_bt");
         assert_bitwise_eq(&serial.3, &par.3, "large conv2d");
         assert_bitwise_eq(&serial.4, &par.4, "large softmax");
         assert_bitwise_eq(&serial.5, &par.5, "large silu");
+        let names = [
+            "qgemm_packed_multi",
+            "conv2d_i8_packed_multi",
+            "conv2d_i8_packed_delta_multi dense step",
+            "conv2d_i8_packed_delta_multi tiled delta step",
+            "conv2d_i8_packed_delta_multi dense step (sparse branch)",
+            "conv2d_i8_packed_delta_multi sparse delta step",
+        ];
+        for ((s, p), name) in serial.6.iter().zip(&par.6).zip(names) {
+            assert_bitwise_eq(s, p, name);
+        }
     }
 }
 
