@@ -6,7 +6,7 @@
 //!
 //! Exits nonzero — listing every violation — unless each report shows
 //! `qgemm_int8` no slower than `dense_gemm_f32` at the gated 256³ shape,
-//! carries the full delta-kernel sparsity sweep (0/25/50/75/90 %
+//! carries the full delta-kernel sparsity sweep (0/25/50/75/90/95/97 %
 //! unchanged rows), and covers every serving scenario in
 //! `perf_gate::REQUIRED_SCENARIOS` — including one `serve_scenario_*`
 //! row with p50/p95/p99 latency and queue-depth fields per traffic shape

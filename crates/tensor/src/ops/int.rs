@@ -84,8 +84,8 @@
 //! (`sqdm-sparsity`'s per-channel change masks, expanded to reduction
 //! rows) and only accumulates contributions from rows that changed since
 //! the previous denoising step. Row-skipping only wins while the mask is
-//! sparse: above the measured crossover fraction
-//! ([`DELTA_DENSE_THRESHOLD`]) the kernel falls back to the packed dense
+//! sparse: from a changed-row fraction of [`DELTA_DENSE_THRESHOLD`] up
+//! the kernel falls back to the packed dense
 //! microkernel over the masked deltas, which is bitwise identical (masked
 //! rows contribute exact i32 zeros and inactive blocks skip the f32
 //! epilogue either way) but much faster at high change density.
@@ -897,18 +897,20 @@ fn changed_fraction(changed: &[bool]) -> f32 {
 /// row-skipping and recomputes the correction with the packed dense
 /// microkernel over the masked deltas.
 ///
-/// Measured on the 256³ bench shape of `repro_bench`'s
-/// `qgemm_delta_int8` sweep (per-channel weights, the sweep's seeded
-/// scattered masks), forcing each branch on a 2-vCPU x86-64 host: the
-/// sparse broadcast path grows linearly with the changed fraction
-/// (≈0.29 ms at 4 %, ≈0.34 ms at 5–6 %, ≈0.45 ms at 8 %, ≈0.82 ms at
-/// 20 %) while the register-tiled dense path is flat at ≈0.35–0.37 ms
-/// (the full dense `qgemm` takes ≈0.38 ms), so the curves cross between
-/// 6 % and 7 % changed rows; the threshold sits at the low edge of that
-/// band. Both paths are bitwise identical, so the threshold is purely a
-/// performance decision; [`qgemm_delta_multi_with_threshold`] overrides
-/// it for testing.
-pub const DELTA_DENSE_THRESHOLD: f32 = 0.0625;
+/// On the 256³ shape of `BENCH_ci.json`'s `qgemm_delta_int8` sweep the
+/// register-tiled dense path is flat at ≈0.33–0.38 ms while the sparse
+/// path grows with the changed fraction (≈0.22–0.25 ms at 3 %,
+/// ≈0.27–0.33 ms at 5 %, ≈0.38 ms at 10 %), so the curves now cross at
+/// 6–10 % changed rows, not at the 25–30 % this value was first
+/// measured at. It stays at 0.25
+/// because a lower threshold has not paid end to end: on the quick
+/// model's temporal-delta sampling only about 0.2 % of delta GEMMs fall
+/// between 6.25 % and 25 % changed rows (most sit above 50 %), and an
+/// A/B with only this constant at 0.0625 did not run faster. Both paths
+/// are bitwise identical, so the threshold is purely a performance
+/// decision; [`qgemm_delta_multi_with_threshold`] overrides it for
+/// testing.
+pub const DELTA_DENSE_THRESHOLD: f32 = 0.25;
 
 /// Temporal sparse-delta GEMM: recomputes only the contributions of
 /// reduction rows whose activation changed since the previous step.

@@ -509,10 +509,12 @@ mod tests {
     #[test]
     fn pooled_equivalence_regions_still_split() {
         // `large_kernels_engage_the_pool_and_stay_bitwise_equal` in
-        // tests/parallel_equivalence.rs only exercises the pool while
-        // its smallest region — a softmax over 384 rows of `8 · 1024`
-        // work units — splits; a grain change must keep it that way.
-        assert!(with_threads(2, || task_count(384, 8 * 1024)) > 1);
+        // tests/parallel_equivalence.rs only exercises the pool while its
+        // smallest regions split: the matmul transposes (1024 rows of
+        // `2 · 1024` work units) and the conv output relayouts (256
+        // planes of `2 · 4096`). A grain change must keep it that way.
+        assert!(with_threads(2, || task_count(1024, 2 * 1024)) > 1);
+        assert!(with_threads(2, || task_count(256, 2 * 4096)) > 1);
         // Below the grain a region stays on the calling thread.
         assert_eq!(with_threads(2, || task_count(4, MIN_WORK_PER_TASK / 8)), 1);
     }

@@ -277,94 +277,94 @@ proptest! {
 #[test]
 fn tile_edges_match_reference_on_both_bodies() {
     let (k, block_len) = (29usize, 8usize); // blocks 8, 8, 8, 5
-    for m in [1usize, 3, 5, 13] {
-        for stripe in [5usize, 9, 17] {
-            for reqs in [2usize, 3] {
-                let seed = (m * 1000 + stripe * 10 + reqs) as u64;
-                let w = weight(m, k, block_len, seed);
-                let pw = PackedQuantizedMatrix::pack(w.clone());
-                let xqs: Vec<XQuant> = (0..reqs)
-                    .map(|s| XQuant {
-                        scale: 0.01 + 0.02 * s as f32,
-                        zero_point: [3, -MAX_ZERO_POINT, 0][s],
-                    })
-                    .collect();
-                let n = stripe * reqs;
-                let x = codes(k * n, seed ^ 0x77);
-                let want = reference_qgemm_multi(&w, &x, stripe, &xqs);
+    let shapes = [1usize, 3, 5, 13]
+        .into_iter()
+        .flat_map(|m| [5usize, 9, 17].map(|stripe| (m, stripe)))
+        // Past the pool's grain (about 3 M work units at threads 2 and
+        // 7), so the row chunks of a ragged `m` — and the sparse branch's
+        // rows — are really split across workers.
+        .chain([(13, 1501)]);
+    for (m, stripe) in shapes {
+        for reqs in [2usize, 3] {
+            let seed = (m * 1000 + stripe * 10 + reqs) as u64;
+            let w = weight(m, k, block_len, seed);
+            let pw = PackedQuantizedMatrix::pack(w.clone());
+            let xqs: Vec<XQuant> = (0..reqs)
+                .map(|s| XQuant {
+                    scale: 0.01 + 0.02 * s as f32,
+                    zero_point: [3, -MAX_ZERO_POINT, 0][s],
+                })
+                .collect();
+            let n = stripe * reqs;
+            let x = codes(k * n, seed ^ 0x77);
+            let want = reference_qgemm_multi(&w, &x, stripe, &xqs);
 
-                // Stream 0 changes rows in block 0 only, stream 1 in the
-                // short tail block only, stream 2 nowhere.
-                let changed: Vec<bool> = (0..reqs * k)
-                    .map(|idx| match idx / k {
-                        0 => idx % k < block_len && idx % 3 == 0,
-                        1 => idx % k >= 3 * block_len,
-                        _ => false,
-                    })
-                    .collect();
-                let mut curr = x.clone();
-                for (s, mask) in changed.chunks(k).enumerate() {
-                    for (row, &ch) in mask.iter().enumerate() {
-                        if ch {
-                            for v in &mut curr[row * n + s * stripe..row * n + (s + 1) * stripe] {
-                                *v = v.wrapping_sub(2 + (row % 3) as i8);
-                            }
+            // Stream 0 changes rows in block 0 only, stream 1 in the
+            // short tail block only, stream 2 nowhere.
+            let changed: Vec<bool> = (0..reqs * k)
+                .map(|idx| match idx / k {
+                    0 => idx % k < block_len && idx % 3 == 0,
+                    1 => idx % k >= 3 * block_len,
+                    _ => false,
+                })
+                .collect();
+            let mut curr = x.clone();
+            for (s, mask) in changed.chunks(k).enumerate() {
+                for (row, &ch) in mask.iter().enumerate() {
+                    if ch {
+                        for v in &mut curr[row * n + s * stripe..row * n + (s + 1) * stripe] {
+                            *v = v.wrapping_sub(2 + (row % 3) as i8);
                         }
                     }
                 }
-                // Every other previous output is -0.0; in stream 2 (no
-                // active block) and in stream 0's rows of skipped blocks
-                // it must come back bit for bit.
-                let prev_out: Vec<f32> = want
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| if i % 2 == 0 { -0.0 } else { v })
-                    .collect();
-                let want_delta =
-                    reference_qgemm_delta_multi(&w, &curr, &x, &changed, stripe, &xqs, &prev_out);
-                if reqs == 3 {
-                    for i in 0..m {
-                        for j in 2 * stripe..n {
-                            if (i * n + j) % 2 == 0 {
-                                assert_eq!(want_delta[i * n + j].to_bits(), (-0.0f32).to_bits());
-                            }
+            }
+            // Every other previous output is -0.0; in stream 2 (no
+            // active block) and in stream 0's rows of skipped blocks
+            // it must come back bit for bit.
+            let prev_out: Vec<f32> = want
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i % 2 == 0 { -0.0 } else { v })
+                .collect();
+            let want_delta =
+                reference_qgemm_delta_multi(&w, &curr, &x, &changed, stripe, &xqs, &prev_out);
+            if reqs == 3 {
+                for i in 0..m {
+                    for j in 2 * stripe..n {
+                        if (i * n + j) % 2 == 0 {
+                            assert_eq!(want_delta[i * n + j].to_bits(), (-0.0f32).to_bits());
                         }
                     }
                 }
+            }
 
-                for t in THREADS {
-                    with_threads(t, || {
-                        for generic in [false, true] {
-                            force_generic_kernels(generic);
-                            let what = format!(
-                                "m={m} stripe={stripe} reqs={reqs} t={t} generic={generic}"
-                            );
+            for t in THREADS {
+                with_threads(t, || {
+                    for generic in [false, true] {
+                        force_generic_kernels(generic);
+                        let what =
+                            format!("m={m} stripe={stripe} reqs={reqs} t={t} generic={generic}");
+                        let mut got = vec![0.0f32; m * n];
+                        qgemm_packed_multi(&pw, &x, stripe, &xqs, &mut got).unwrap();
+                        assert_bits_eq(&got, &want, &format!("dense {what}"));
+                        for threshold in [0.0f32, 2.0] {
                             let mut got = vec![0.0f32; m * n];
-                            qgemm_packed_multi(&pw, &x, stripe, &xqs, &mut got).unwrap();
-                            assert_bits_eq(&got, &want, &format!("dense {what}"));
-                            for threshold in [0.0f32, 2.0] {
-                                let mut got = vec![0.0f32; m * n];
-                                qgemm_delta_multi_with_threshold(
-                                    &w, &curr, &x, &changed, stripe, &xqs, &prev_out, &mut got,
-                                    threshold,
-                                )
-                                .unwrap();
-                                assert_bits_eq(
-                                    &got,
-                                    &want_delta,
-                                    &format!("delta@{threshold} {what}"),
-                                );
-                            }
-                            let mut got = vec![0.0f32; m * n];
-                            qgemm_delta_packed_multi(
-                                &pw, &curr, &x, &changed, stripe, &xqs, &prev_out, &mut got,
+                            qgemm_delta_multi_with_threshold(
+                                &w, &curr, &x, &changed, stripe, &xqs, &prev_out, &mut got,
+                                threshold,
                             )
                             .unwrap();
-                            assert_bits_eq(&got, &want_delta, &format!("packed delta {what}"));
+                            assert_bits_eq(&got, &want_delta, &format!("delta@{threshold} {what}"));
                         }
-                        force_generic_kernels(false);
-                    });
-                }
+                        let mut got = vec![0.0f32; m * n];
+                        qgemm_delta_packed_multi(
+                            &pw, &curr, &x, &changed, stripe, &xqs, &prev_out, &mut got,
+                        )
+                        .unwrap();
+                        assert_bits_eq(&got, &want_delta, &format!("packed delta {what}"));
+                    }
+                    force_generic_kernels(false);
+                });
             }
         }
     }

@@ -9,7 +9,9 @@
 //! elementwise activations over random shapes (including the degenerate
 //! `m = 0`, `n = 0`, `k = 0` and single-row cases) and thread counts
 //! `{1, 2, 7}`, and for the packed integer kernels on shapes the pool
-//! splits.
+//! splits. The random proptest shapes stay below the pool's grain, so
+//! they check the serial fallback at every thread count; the split path
+//! itself is covered by the pinned large-shape test.
 
 use proptest::prelude::*;
 use sqdm_tensor::ops::int::{
@@ -142,27 +144,30 @@ proptest! {
     }
 }
 
-/// Shapes big enough that the pool actually splits every kernel here
-/// (the grain heuristic keeps tiny proptest shapes serial), pinned
-/// explicitly so the parallel code path itself is exercised. The smallest
-/// region is the softmax, 384 rows of `8 · 1024` work units;
-/// `parallel::tests::pooled_equivalence_regions_still_split` pins that it
-/// stays above the pool's grain.
+/// Shapes big enough that the pool actually splits every region of every
+/// kernel here (the grain heuristic keeps tiny proptest shapes serial),
+/// pinned explicitly so the parallel code path itself is exercised. The
+/// smallest regions — the transposes inside `matmul_at_b`/`matmul_a_bt`
+/// (1024 rows of `2 · 1024` units) and the f32 and integer conv output
+/// relayouts (256 planes of `2 · 4096` units) — carry `2 · 2^20` work
+/// units each; `parallel::tests::pooled_equivalence_regions_still_split`
+/// pins that they stay above the pool's grain.
 #[test]
 fn large_kernels_engage_the_pool_and_stay_bitwise_equal() {
     let mut rng = Rng::seed_from(0xD15C0);
-    let a = Tensor::randn([128, 192], &mut rng);
-    let b = Tensor::randn([192, 160], &mut rng);
-    let a_t = Tensor::randn([192, 128], &mut rng);
-    let b_t = Tensor::randn([160, 192], &mut rng);
-    let x = Tensor::randn([2, 16, 32, 32], &mut rng);
-    let w = Tensor::randn([16, 16, 3, 3], &mut rng);
+    let a = Tensor::randn([48, 1024], &mut rng);
+    let b = Tensor::randn([1024, 48], &mut rng);
+    let a_t = Tensor::randn([1024, 1024], &mut rng);
+    let b_t = Tensor::randn([1024, 1024], &mut rng);
+    // One conv geometry for the f32 and the integer convs: four 64×64
+    // streams, 8 input channels (scale blocks 32, 32, 8), 64 outputs.
+    let (batch, c, hw, kout) = (4usize, 8usize, 64usize, 64usize);
+    let x = Tensor::randn([batch, c, hw, hw], &mut rng);
+    let w = Tensor::randn([kout, c, 3, 3], &mut rng);
     let sm = Tensor::randn([384, 1024], &mut rng);
 
-    // Integer kernels: a 64-channel 3×3 conv over 32 input channels
-    // (scale blocks of 32), two 16×16 streams, and a second step that
+    // Integer kernels on the same geometry, with a second step that
     // changes half of stream 0's channels.
-    let (c, hw, kout) = (32usize, 16usize, 64usize);
     let kdim = c * 9;
     let mut codes = |len: usize| -> Vec<i8> {
         (0..len)
@@ -175,22 +180,24 @@ fn large_kernels_engage_the_pool_and_stay_bitwise_equal() {
     let pw = PackedQuantizedMatrix::pack(
         QuantizedMatrix::new(codes(kout * kdim), kout, kdim, scales, 32).unwrap(),
     );
-    let xc = codes(2 * c * hw * hw);
+    let xc = codes(batch * c * hw * hw);
     let mut xc_next = xc.clone();
     for v in &mut xc_next[..c / 2 * hw * hw] {
         *v = v.wrapping_add(1);
     }
-    let changed: Vec<bool> = (0..2 * c).map(|ch| ch < c / 2).collect();
-    let xqs = [XQuant::symmetric(0.02), XQuant::symmetric(0.03)];
+    let changed: Vec<bool> = (0..batch * c).map(|ch| ch < c / 2).collect();
+    let xqs: Vec<XQuant> = (0..batch)
+        .map(|s| XQuant::symmetric(0.02 + 0.01 * s as f32))
+        .collect();
     let geom = Conv2dGeometry::same(3);
-    let lowered = im2col_i8_multi(&xc, 2, c, hw, hw, 3, 3, geom, &[0, 0]).unwrap();
+    let lowered = im2col_i8_multi(&xc, batch, c, hw, hw, 3, 3, geom, &[0; 4]).unwrap();
 
     let run = || {
-        let mut gemm = vec![0.0f32; kout * 2 * hw * hw];
+        let mut gemm = vec![0.0f32; kout * batch * hw * hw];
         qgemm_packed_multi(&pw, &lowered, hw * hw, &xqs, &mut gemm).unwrap();
         let mut int = vec![
-            Tensor::from_vec(gemm, [kout, 2 * hw * hw]).unwrap(),
-            conv2d_i8_packed_multi(&pw, &xc, 2, c, hw, hw, 3, 3, None, geom, &xqs).unwrap(),
+            Tensor::from_vec(gemm, [kout, batch * hw * hw]).unwrap(),
+            conv2d_i8_packed_multi(&pw, &xc, batch, c, hw, hw, 3, 3, None, geom, &xqs).unwrap(),
         ];
         // Both delta branches: the tiled dense fallback and the sparse core.
         for threshold in [0.0f32, 2.0] {
@@ -199,7 +206,7 @@ fn large_kernels_engage_the_pool_and_stay_bitwise_equal() {
             for codes in [&xc, &xc_next] {
                 int.push(
                     conv2d_i8_packed_delta_multi(
-                        &pw, codes, 2, c, hw, hw, 3, 3, None, geom, &xqs, &changed, &mut state,
+                        &pw, codes, batch, c, hw, hw, 3, 3, None, geom, &xqs, &changed, &mut state,
                         threshold,
                     )
                     .unwrap(),
