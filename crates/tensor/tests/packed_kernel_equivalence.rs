@@ -280,9 +280,9 @@ fn tile_edges_match_reference_on_both_bodies() {
     let shapes = [1usize, 3, 5, 13]
         .into_iter()
         .flat_map(|m| [5usize, 9, 17].map(|stripe| (m, stripe)))
-        // Past the pool's grain (about 3 M work units at threads 2 and
-        // 7), so the row chunks of a ragged `m` — and the sparse branch's
-        // rows — are really split across workers.
+        // Past the pool's grain (2–9 M work units per region), so at
+        // threads 2 and 7 the row chunks of a ragged `m` — and the sparse
+        // branch's rows — are really split across workers.
         .chain([(13, 1501)]);
     for (m, stripe) in shapes {
         for reqs in [2usize, 3] {
